@@ -207,7 +207,7 @@ let serve_roundtrip_row () =
   pp_estimate "serve_roundtrip (store hit)" (Some ns);
   ("serve_roundtrip", ns)
 
-(* Fleet-share contention: a long grid occupies the daemon when a
+(* Lane contention: a long grid occupies the daemon when a
    1-cell store-miss request arrives. With one executor lane the probe
    head-of-line blocks behind the whole grid; with two lanes it runs
    immediately on the free lane. The perf gate asserts
@@ -303,10 +303,12 @@ let serve_contention_row ~concurrent ~name =
 (* ------------------------------------------------------------------ *)
 (* Full-fleet regeneration: the hot path the exec engine parallelizes.  *)
 
-let fleet_comparison ~shards ?batch () =
+(* Sequential against parallel over the whole fleet with the cache
+   bypassed: one domain, then every recommended domain. The smoke run
+   keeps just these rows, which carry the CI domain-scaling gate
+   ([fleet_parallel<fleet_sequential]). *)
+let fleet_rows () =
   let n = max 1 (Domain.recommended_domain_count ()) in
-  Fmt.pr "@.full-fleet regeneration (10 scenarios, cache bypassed)@.";
-  Fmt.pr "%s@." (String.make 50 '-');
   let _, t_seq =
     wall (fun () -> Scenarios.Runner.run_all ~use_cache:false ~domains:1 ())
   in
@@ -317,33 +319,22 @@ let fleet_comparison ~shards ?batch () =
   Fmt.pr "%-34s %10.2f s  (%.2fx)@."
     (Fmt.str "parallel (%d domains)" n)
     t_par (t_seq /. t_par);
-  (* Same fleet through the multi-process backend: [shards] workers of
-     [n / shards] domains each, so the three rows compare one process /
-     one domain, one process / n domains, and shards × domains. The
-     fleet is warmed first so the row times the work, not the spawn. *)
-  let s = max 1 shards in
-  let d = max 1 (n / s) in
-  Exec.Shard.warm ~shards:s ~domains:d ();
-  let _, t_shard =
-    wall (fun () ->
-        Scenarios.Runner.run_all ~use_cache:false ~shards:s ~domains:d ?batch ())
-  in
-  Fmt.pr "%-34s %10.2f s  (%.2fx)@."
-    (Fmt.str "sharded (%d procs x %d domains)" s d)
-    t_shard (t_seq /. t_shard);
-  let _, t_warm = wall (fun () -> Scenarios.Runner.run_all ()) in
-  Fmt.pr "%-34s %10.4f s@." "warm cache" t_warm;
   let cells = List.length Scenarios.Defs.all in
   (* whole-run timings as bench entries, normalized to ns like the rest;
-     [per_cell_us] is the sequential per-scenario cost in microseconds —
-     the unit sizing batch and shard decisions. *)
+     [per_cell_us] is the sequential per-scenario cost in microseconds. *)
   [
     ("fleet_sequential", t_seq *. 1e9);
     ("fleet_parallel", t_par *. 1e9);
-    ("fleet_sharded", t_shard *. 1e9);
-    ("fleet_warm_cache", t_warm *. 1e9);
     ("per_cell_us", t_seq *. 1e6 /. float_of_int (max 1 cells));
   ]
+
+let fleet_comparison () =
+  Fmt.pr "@.full-fleet regeneration (10 scenarios, cache bypassed)@.";
+  Fmt.pr "%s@." (String.make 50 '-');
+  let rows = fleet_rows () in
+  let _, t_warm = wall (fun () -> Scenarios.Runner.run_all ()) in
+  Fmt.pr "%-34s %10.4f s@." "warm cache" t_warm;
+  rows @ [ ("fleet_warm_cache", t_warm *. 1e9) ]
 
 let run_bench tests =
   Fmt.pr "@.%-34s %14s@." "benchmark" "time";
@@ -361,24 +352,8 @@ let write_snapshot ~name bench =
   Obs.Export.write_file ~name ~bench path;
   Fmt.pr "@.wrote %s (%d estimates)@." path (List.length bench)
 
-(* [--flag N] in [Sys.argv], if present ([None] otherwise). The bench
-   keeps raw argv parsing — three flags don't justify a cmdliner term. *)
-let int_argv flag =
-  let rec go i =
-    if i + 1 >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = flag then int_of_string_opt Sys.argv.(i + 1)
-    else go (i + 1)
-  in
-  go 1
-
 let () =
-  (* Must precede everything else: when this process is a shard worker
-     (re-executed by a sharded fleet run), it serves its frames and exits
-     here instead of running the benchmarks. *)
-  Exec.Shard.init ();
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
-  let shards = int_argv "--shards" in
-  let batch = int_argv "--cells-per-frame" in
   if smoke then begin
     (* CI smoke: one experiment over one pre-warmed scenario, minimal
        samples — proves the perf harness still compiles and runs. *)
@@ -393,37 +368,8 @@ let () =
       | [] -> assert false
     in
     let estimates = run_bench [ smoke_test ] in
-    (* With [--shards N] the smoke run also times the fleet through the
-       multi-process backend against the sequential baseline, so CI gets
-       a sharded snapshot row without the full bench's cost. *)
-    let sharded_rows =
-      match shards with
-      | None -> []
-      | Some s ->
-          Fmt.pr "@.smoke fleet, sequential vs %d shards@." s;
-          let _, t_seq =
-            wall (fun () ->
-                Scenarios.Runner.run_all ~use_cache:false ~domains:1 ())
-          in
-          Fmt.pr "%-34s %10.2f s@." "fleet sequential" t_seq;
-          (* Warm the fleet first: the row times the sharded work, not
-             the one-off worker spawn the fleet amortizes away. *)
-          Exec.Shard.warm ~shards:s ~domains:1 ();
-          let _, t_shard =
-            wall (fun () ->
-                Scenarios.Runner.run_all ~use_cache:false ~shards:s ~domains:1
-                  ?batch ())
-          in
-          Fmt.pr "%-34s %10.2f s  (%.2fx)@."
-            (Fmt.str "fleet sharded (%d procs)" s)
-            t_shard (t_seq /. t_shard);
-          let cells = List.length Scenarios.Defs.all in
-          [
-            ("fleet_sequential", t_seq *. 1e9);
-            ("fleet_sharded", t_shard *. 1e9);
-            ("per_cell_us", t_seq *. 1e6 /. float_of_int (max 1 cells));
-          ]
-    in
+    Fmt.pr "@.smoke fleet, sequential vs parallel@.";
+    let fleet = fleet_rows () in
     let serve_row = serve_roundtrip_row () in
     let blocked_row =
       serve_contention_row ~concurrent:1 ~name:"serve_roundtrip_blocked"
@@ -433,7 +379,7 @@ let () =
     in
     write_snapshot ~name:"smoke"
       ((("prewarm_scenario_1", t *. 1e9)
-       :: serve_row :: blocked_row :: concurrent_row :: sharded_rows)
+       :: serve_row :: blocked_row :: concurrent_row :: fleet)
       @ estimates)
   end
   else begin
@@ -444,9 +390,7 @@ let () =
       (max 1 (Domain.recommended_domain_count ()));
     let _, t = wall (fun () -> Core.Experiments.prewarm ()) in
     Fmt.pr "fleet warmed in %.2f s@." t;
-    let fleet =
-      fleet_comparison ~shards:(Option.value shards ~default:2) ?batch ()
-    in
+    let fleet = fleet_comparison () in
     let serve_row = serve_roundtrip_row () in
     let blocked_row =
       serve_contention_row ~concurrent:1 ~name:"serve_roundtrip_blocked"

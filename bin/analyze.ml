@@ -10,7 +10,7 @@
 
     Every table is a single constant-memory streaming pass over the
     journals, and every CSV is deterministic: analyzers are
-    order-independent, so journals produced under any [--shards]/[-j]
+    order-independent, so journals produced under any [-j]
     configuration of the campaign mine to byte-identical output. *)
 
 open Cmdliner

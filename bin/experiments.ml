@@ -50,17 +50,6 @@ let retry_policy ~seed retries =
     Some (Exec.Supervise.policy ~max_attempts:(retries + 1) ~seed ())
   else None
 
-let shards_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Shard the campaign grid across $(docv) worker processes \
-           (crash-isolated: a worker SIGKILL is absorbed by respawn and \
-           requeue), each running $(b,--domains) domains. The matrix is \
-           bit-for-bit identical to the single-process run.")
-
 let chaos_arg =
   Arg.(
     value
@@ -68,31 +57,10 @@ let chaos_arg =
     & info [ "chaos" ] ~docv:"SPEC"
         ~doc:
           ("Inject a deterministic infrastructure-fault plan into the \
-            campaign's own execution stack (workers, frames, journal, \
-            spawns), seeded by $(b,--seed). Every fault is recoverable: \
+            campaign's own execution stack (its journal), seeded by \
+            $(b,--seed). Every fault is recoverable: \
             the matrix and CSV are bit-for-bit identical to the \
             chaos-free run. " ^ Exec.Chaos.conv_doc))
-
-let hang_timeout_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "hang-timeout" ] ~docv:"SECS"
-        ~doc:
-          "Declare a sharded worker hung — SIGKILL it and requeue its \
-           cells — after $(docv) seconds without results or heartbeats \
-           (default 30).")
-
-let batch_deadline_arg =
-  Arg.(
-    value
-    & opt (some float) None
-    & info [ "batch-deadline" ] ~docv:"SECS"
-        ~doc:
-          "Hard bound on one sharded batch's in-flight time: a worker \
-           exceeding it is killed and its cells requeued, even if it is \
-           still heartbeating (catches busy-looping tasks). Off by \
-           default.")
 
 let parse_chaos ~seed = function
   | None -> None
@@ -211,8 +179,8 @@ let campaign_cmd =
       & info [ "scenarios" ] ~docv:"N,.."
           ~doc:"Scenario numbers forming the grid columns.")
   in
-  let run domains shards seed faults scenarios journal resume retries chaos
-      hang_timeout deadline metrics =
+  let run domains seed faults scenarios journal resume retries chaos metrics
+      =
     if resume && journal = None then begin
       Fmt.epr "--resume requires --journal PATH@.";
       exit 1
@@ -226,23 +194,17 @@ let campaign_cmd =
       }
     in
     Fmt.pr "%a@." Scenarios.Campaign.pp
-      (Scenarios.Campaign.run ?domains ?shards ?journal ~resume
+      (Scenarios.Campaign.run ?domains ?journal ~resume
          ?retry:(retry_policy ~seed retries)
-         ?chaos:(parse_chaos ~seed chaos) ?hang_timeout_s:hang_timeout
-         ?deadline_s:deadline grid);
+         ?chaos:(parse_chaos ~seed chaos) grid);
     write_metrics ~name:(Fmt.str "campaign_seed%d" seed) metrics
   in
   Cmd.v (Cmd.info "campaign" ~doc)
     Term.(
-      const run $ domains_arg $ shards_arg $ seed $ faults $ scenarios
-      $ journal_arg $ resume_arg $ retries_arg $ chaos_arg $ hang_timeout_arg
-      $ batch_deadline_arg $ metrics_arg)
+      const run $ domains_arg $ seed $ faults $ scenarios $ journal_arg
+      $ resume_arg $ retries_arg $ chaos_arg $ metrics_arg)
 
 let () =
-  (* Must precede everything else: when this process is a shard worker
-     (re-executed by a sharded campaign), it serves its frames and exits
-     here instead of running the CLI. *)
-  Exec.Shard.init ();
   let doc = "Regenerate the tables and figures of the thesis evaluation." in
   exit
     (Cmd.eval

@@ -33,17 +33,6 @@ let write_metrics ~name metrics =
       Fmt.pr "wrote metrics snapshot %s@." path)
     metrics
 
-let shards_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "shards" ] ~docv:"N"
-        ~doc:
-          "Shard execution across $(docv) worker processes \
-           (crash-isolated: a worker SIGKILL is absorbed by respawn and \
-           requeue), each running $(b,--domains) domains. Output is \
-           byte-identical to the single-process run.")
-
 let figures_cmd =
   let out_dir =
     Arg.(value & opt string "." & info [ "out-dir"; "o" ] ~doc:"Output directory.")
@@ -55,14 +44,11 @@ let figures_cmd =
       & info [ "domains"; "j" ] ~docv:"N"
           ~doc:"Simulate the fleet on $(docv) domains (1 = sequential).")
   in
-  let run out_dir domains shards metrics =
+  let run out_dir domains metrics =
     ensure_dir out_dir;
     (* Warm the shared outcome cache for the whole fleet in parallel; each
-       figure below then reads its scenario's outcome from the cache.
-       (Sharded warm-up still simulates in workers, but classification
-       outcomes return to this process's cache, so the figures below are
-       cache hits either way.) *)
-    ignore (Scenarios.Runner.run_all ?domains ?shards ());
+       figure below then reads its scenario's outcome from the cache. *)
+    ignore (Scenarios.Runner.run_all ?domains ());
     Obs.span "export.figures" (fun () ->
         List.iter
           (fun (fig : Scenarios.Figures.t) ->
@@ -76,7 +62,7 @@ let figures_cmd =
     write_metrics ~name:"export_figures" metrics
   in
   Cmd.v (Cmd.info "figures" ~doc:"Export every regenerated figure as CSV.")
-    Term.(const run $ out_dir $ domains $ shards_arg $ metrics_arg)
+    Term.(const run $ out_dir $ domains $ metrics_arg)
 
 let scenario_cmd =
   let n = Arg.(required & pos 0 (some int) None & info [] ~docv:"SCENARIO") in
@@ -188,33 +174,13 @@ let campaign_cmd =
       & info [ "chaos" ] ~docv:"SPEC"
           ~doc:
             ("Inject a deterministic infrastructure-fault plan into the \
-              campaign's own execution stack (workers, frames, journal, \
-              spawns), seeded by $(b,--seed). Every fault is recoverable: \
+              campaign's own execution stack (its journal), seeded by \
+              $(b,--seed). Every fault is recoverable: \
               the CSV is byte-identical to the chaos-free run. "
             ^ Exec.Chaos.conv_doc))
   in
-  let hang_timeout =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "hang-timeout" ] ~docv:"SECS"
-          ~doc:
-            "Declare a sharded worker hung — SIGKILL it and requeue its \
-             cells — after $(docv) seconds without results or heartbeats \
-             (default 30).")
-  in
-  let batch_deadline =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "batch-deadline" ] ~docv:"SECS"
-          ~doc:
-            "Hard bound on one sharded batch's in-flight time: a worker \
-             exceeding it is killed and its cells requeued, even if it is \
-             still heartbeating. Off by default.")
-  in
-  let run out_dir seed faults scenarios domains shards journal resume retries
-      chaos hang_timeout deadline metrics =
+  let run out_dir seed faults scenarios domains journal resume retries chaos
+      metrics =
     if resume && journal = None then begin
       Fmt.epr "--resume requires --journal PATH@.";
       exit 1
@@ -244,8 +210,7 @@ let campaign_cmd =
               exit 1)
     in
     let c =
-      Scenarios.Campaign.run ?domains ?shards ?journal ~resume ?retry ?chaos
-        ?hang_timeout_s:hang_timeout ?deadline_s:deadline grid
+      Scenarios.Campaign.run ?domains ?journal ~resume ?retry ?chaos grid
     in
     let path = Filename.concat out_dir (Fmt.str "campaign_seed%d.csv" seed) in
     Obs.span "campaign.export" (fun () ->
@@ -265,15 +230,10 @@ let campaign_cmd =
          "Export a fault-injection detection-coverage matrix as CSV, \
           optionally journaled, resumable, retried and chaos-tested.")
     Term.(
-      const run $ out_dir $ seed $ faults $ scenarios $ domains $ shards_arg
-      $ journal $ resume $ retries $ chaos $ hang_timeout $ batch_deadline
-      $ metrics_arg)
+      const run $ out_dir $ seed $ faults $ scenarios $ domains $ journal
+      $ resume $ retries $ chaos $ metrics_arg)
 
 let () =
-  (* Must precede everything else: when this process is a shard worker
-     (re-executed by a sharded campaign), it serves its frames and exits
-     here instead of running the CLI. *)
-  Exec.Shard.init ();
   let doc = "Export traces, figures and violation tables as CSV." in
   exit
     (Cmd.eval

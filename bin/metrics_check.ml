@@ -7,7 +7,7 @@
     metrics_check m.json --summary                 # deterministic digest
     metrics_check BENCH_smoke.json \
       --compare bench/baselines/BENCH_smoke.baseline.json --tolerance 25 \
-      --expect-faster 'fleet_sharded<fleet_sequential'
+      --expect-faster 'fleet_parallel<fleet_sequential'
     metrics_check BENCH_smoke.json \
       --write-baseline bench/baselines/BENCH_smoke.baseline.json \
       --baseline-counter pool.tasks_completed ...
@@ -21,11 +21,11 @@
 
     [--compare] is the perf-regression gate: every counter pinned in the
     baseline must match the fresh snapshot {e exactly} (counters encode
-    run shape — frames sent, cells requeued, tasks completed — which
+    run shape — tasks submitted, tasks completed, cells quarantined — which
     timing noise must never change), while every bench timing in the
     baseline bounds the fresh value to at most [1 + tolerance/100] times
     the baseline (faster is always fine). [--expect-faster 'A<B'] gates a
-    relation {e within} the fresh snapshot — e.g. that the sharded fleet
+    relation {e within} the fresh snapshot — e.g. that the parallel fleet
     actually beats the sequential one on this machine.
 
     Baselines are written with [--write-baseline]: the fresh snapshot's

@@ -2,8 +2,8 @@
 
     {v
     serve --socket /tmp/campaignd.sock --state-dir /var/tmp/campaignd
-    serve --queue 4 --quota 2 --deadline 120 --shards 2 -j 2
-    serve --concurrent 2 --shards 4   # two lanes, two workers each
+    serve --queue 4 --quota 2 --deadline 120 -j 2
+    serve --concurrent 2 -j 4   # two lanes, two domains each
     serve --chaos accept@3,sread~0.05 --seed 42   # chaos-hardened run
     v}
 
@@ -31,7 +31,7 @@ let state_dir_arg =
            resumes its unfinished work.")
 
 let run socket state_dir tcp_port queue quota concurrent store_budget deadline
-    stall retry_after domains shards seed chaos metrics =
+    stall retry_after domains seed chaos metrics =
   let chaos =
     match chaos with
     | None -> None
@@ -54,7 +54,6 @@ let run socket state_dir tcp_port queue quota concurrent store_budget deadline
       stall_timeout_s = stall;
       retry_after_s = retry_after;
       domains;
-      shards;
       chaos;
       metrics_path = metrics;
     }
@@ -92,7 +91,7 @@ let cmd =
       & info [ "concurrent" ] ~docv:"K"
           ~doc:
             "Run up to $(docv) admitted campaigns at once, each on a 1/$(docv) \
-             share of the worker fleet (fleet-share scheduling). A free lane \
+             share of the $(b,--domains) (pool-share scheduling). A free lane \
              picks the smallest queued grid first, so short requests are \
              never head-of-line blocked behind a long one. Results stay \
              byte-identical to the batch CLI for any $(docv).")
@@ -138,15 +137,6 @@ let cmd =
       & info [ "domains"; "j" ] ~docv:"N"
           ~doc:"Run each campaign on $(docv) domains (1 = sequential).")
   in
-  let shards =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "shards" ] ~docv:"N"
-          ~doc:
-            "Shard each campaign across $(docv) crash-isolated worker \
-             processes.")
-  in
   let seed =
     Arg.(
       value & opt int 42
@@ -180,11 +170,6 @@ let cmd =
     Term.(
       const run $ socket_arg $ state_dir_arg $ tcp_port $ queue $ quota
       $ concurrent $ store_budget $ deadline $ stall $ retry_after $ domains
-      $ shards $ seed $ chaos $ metrics)
+      $ seed $ chaos $ metrics)
 
-let () =
-  (* Must precede everything else: when this process is a shard worker
-     (re-executed by a sharded campaign), it serves its frames and exits
-     here instead of starting the daemon. *)
-  Exec.Shard.init ();
-  exit (Cmd.eval cmd)
+let () = exit (Cmd.eval cmd)

@@ -9,7 +9,7 @@
     produce identical tables, and any interleaving or permutation of the
     same cells produces byte-identical CSVs — the analyzers are
     order-independent by construction, so journals written under any
-    [--shards]/[-j]/chaos configuration mine to the same bytes.
+    [-j]/chaos configuration mine to the same bytes.
 
     Telemetry rides the standard obs/1 registry: [analytics.records],
     [analytics.records_skipped] and [analytics.journals] counters are

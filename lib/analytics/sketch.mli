@@ -2,7 +2,7 @@
 
     The analytics pipeline must produce byte-identical tables no matter
     how the producing campaign interleaved its appends: a journal written
-    with [--shards 4 -j 8] holds the same records as the sequential run,
+    with [-j 8] holds the same records as the sequential run,
     in a different order. Every sketch here is therefore a {e commutative}
     aggregate — feeding the same multiset of observations in any order
     yields the same state — and every sketch is bounded: its live size

@@ -3,26 +3,17 @@
     The plan is pure data: which infrastructure faults to inject, each
     with a trigger — a fixed opportunity index ([At n], 1-based) or a
     seeded per-opportunity probability ([Rate p]). The hook derivations
-    below turn the plan into the callbacks {!Shard} and the scenario
-    journal consult at their injection points; everything a hook decides
+    below turn the plan into the callbacks the scenario journal and the
+    campaign server consult at their injection points; everything a hook decides
     is a pure function of [(seed, fault kind, opportunity index)], so a
     chaos run is exactly as reproducible as the campaign it torments. *)
-
-type fault =
-  | Torn_frame
-  | Corrupt_frame
-  | Hang
-  | Crash
-  | Slow of float
 
 type trigger = At of int | Rate of float
 
 type t = {
   seed : int;
-  worker : (fault * trigger) list;
   journal_write : trigger option;
   journal_fsync : trigger option;
-  spawn : trigger option;
   accept : trigger option;
   srv_read : trigger option;
   srv_write : trigger option;
@@ -31,19 +22,16 @@ type t = {
 let none =
   {
     seed = 0;
-    worker = [];
     journal_write = None;
     journal_fsync = None;
-    spawn = None;
     accept = None;
     srv_read = None;
     srv_write = None;
   }
 
 let is_empty t =
-  t.worker = [] && t.journal_write = None && t.journal_fsync = None
-  && t.spawn = None && t.accept = None && t.srv_read = None
-  && t.srv_write = None
+  t.journal_write = None && t.journal_fsync = None && t.accept = None
+  && t.srv_read = None && t.srv_write = None
 
 (* Every fault kind draws from its own child generator, and every
    opportunity from a grandchild: firing is a pure function of
@@ -56,36 +44,13 @@ let fires ~seed ~salt ~n trigger =
         (Inject.Prng.create (Inject.Prng.derive (Inject.Prng.derive seed salt) n))
       < p
 
-let salt_of_fault = function
-  | Torn_frame -> 1
-  | Corrupt_frame -> 2
-  | Hang -> 3
-  | Crash -> 4
-  | Slow _ -> 5
-
+(* Salts 1–5 and 8 are retired (the worker-process kinds); the live
+   kinds keep their values, so a [Rate] plan draws as in earlier builds. *)
 let salt_jwrite = 6
 let salt_jfsync = 7
-let salt_spawn = 8
 let salt_accept = 9
 let salt_sread = 10
 let salt_swrite = 11
-
-let worker_fault t =
-  if t.worker = [] then None
-  else
-    Some
-      (fun ~slot:_ ~seq ->
-        List.find_map
-          (fun (f, tr) ->
-            if fires ~seed:t.seed ~salt:(salt_of_fault f) ~n:seq tr then Some f
-            else None)
-          t.worker)
-
-let spawn_fault t =
-  match t.spawn with
-  | None -> None
-  | Some tr ->
-      Some (fun ~attempt -> fires ~seed:t.seed ~salt:salt_spawn ~n:attempt tr)
 
 let journal_fault t =
   match (t.journal_write, t.journal_fsync) with
@@ -135,41 +100,27 @@ let server_fault t =
 let conv_doc =
   "Comma-separated fault terms, each KIND@N (fire on the N-th \
    opportunity, 1-based) or KIND~P (fire with probability P per \
-   opportunity, drawn deterministically from the seed). Worker-frame \
-   kinds (opportunity = batch assignment): hang (hold the pipe open, \
-   stop responding), crash (exit without writing), torn (die \
-   mid-frame), corrupt (bit-flip a frame), slow@N:SECS / slow~P:SECS \
-   (delay the results). Journal kinds (opportunity = append): jwrite \
-   (the append's write fails mid-record), jfsync (the fsync fails). \
-   spawn (opportunity = worker spawn attempt): the spawn fails. Server \
-   kinds (campaign service fault points): accept (the accepted \
-   connection is dropped immediately), sread (the connection is dropped \
-   at the next request read), swrite (the connection is dropped instead \
-   of writing the next response). Example: \
-   'hang@2,crash@4,torn@6,jwrite@3'."
+   opportunity, drawn deterministically from the seed). Journal kinds \
+   (opportunity = append): jwrite (the append's write fails \
+   mid-record), jfsync (the fsync fails). Server kinds (campaign \
+   service fault points): accept (the accepted connection is dropped \
+   immediately), sread (the connection is dropped at the next request \
+   read), swrite (the connection is dropped instead of writing the next \
+   response). Each kind may appear at most once. Example: \
+   'jwrite@3,accept~0.1'."
 
 let trigger_to_string = function
   | At n -> Printf.sprintf "@%d" n
   | Rate p -> Printf.sprintf "~%g" p
 
 let to_string t =
-  let worker_term (f, tr) =
-    match f with
-    | Hang -> "hang" ^ trigger_to_string tr
-    | Crash -> "crash" ^ trigger_to_string tr
-    | Torn_frame -> "torn" ^ trigger_to_string tr
-    | Corrupt_frame -> "corrupt" ^ trigger_to_string tr
-    | Slow d -> Printf.sprintf "slow%s:%g" (trigger_to_string tr) d
-  in
   let opt kind = function
     | None -> []
     | Some tr -> [ kind ^ trigger_to_string tr ]
   in
   String.concat ","
-    (List.map worker_term t.worker
-    @ opt "jwrite" t.journal_write
+    (opt "jwrite" t.journal_write
     @ opt "jfsync" t.journal_fsync
-    @ opt "spawn" t.spawn
     @ opt "accept" t.accept
     @ opt "sread" t.srv_read
     @ opt "swrite" t.srv_write)
@@ -204,44 +155,29 @@ let parse ?(seed = 0) spec =
       | Some _, Some _ -> Error (term ^ ": at most one of '@' and '~'")
       | None, None -> Error (term ^ ": expected KIND@N or KIND~P")
     in
-    let* trigger, extra =
-      match String.index_opt rest ':' with
-      | None ->
-          let* tr = parse_trigger ~term how rest in
-          Ok (tr, None)
-      | Some i ->
-          let* tr = parse_trigger ~term how (String.sub rest 0 i) in
-          let tail = String.sub rest (i + 1) (String.length rest - i - 1) in
-          Ok (tr, Some tail)
-    in
     let* () =
-      match (kind, extra) with
-      | "slow", _ | _, None -> Ok ()
-      | _, Some _ -> Error (term ^ ": only slow takes a ':SECS' suffix")
+      match kind with
+      | "hang" | "crash" | "torn" | "corrupt" | "slow" | "spawn" ->
+          Error
+            (Printf.sprintf
+               "%s: fault kind %S is not supported: campaigns run \
+                in-process, with no worker processes to fault"
+               term kind)
+      | _ -> Ok ()
     in
-    let worker f = Ok { t with worker = t.worker @ [ (f, trigger) ] } in
+    let* trigger = parse_trigger ~term how rest in
     let once what field set =
       match field with
       | Some _ -> Error (Printf.sprintf "%s: duplicate %s term" term what)
       | None -> set ()
     in
     match kind with
-    | "hang" -> worker Hang
-    | "crash" -> worker Crash
-    | "torn" -> worker Torn_frame
-    | "corrupt" -> worker Corrupt_frame
-    | "slow" -> (
-        match Option.bind extra float_of_string_opt with
-        | Some d when d >= 0. -> worker (Slow d)
-        | _ -> Error (term ^ ": expected slow@N:SECS or slow~P:SECS"))
     | "jwrite" ->
         once "jwrite" t.journal_write (fun () ->
             Ok { t with journal_write = Some trigger })
     | "jfsync" ->
         once "jfsync" t.journal_fsync (fun () ->
             Ok { t with journal_fsync = Some trigger })
-    | "spawn" ->
-        once "spawn" t.spawn (fun () -> Ok { t with spawn = Some trigger })
     | "accept" ->
         once "accept" t.accept (fun () -> Ok { t with accept = Some trigger })
     | "sread" ->

@@ -2,15 +2,14 @@
     the execution stack itself.
 
     {!Inject} perturbs the {e simulated} system's signals; this module
-    perturbs the {e infrastructure} that runs the simulations — worker
-    processes, pipe frames, journal appends, spawns — so the composite
-    failure modes of [Shard] + [Supervise] + the scenario journal are
+    perturbs the {e infrastructure} that runs the simulations — journal
+    appends and the campaign server's connections — so the composite
+    failure modes of [Supervise] + the scenario journal + the daemon are
     exercised on purpose instead of discovered in production. A plan is
     pure data (no closures, no hidden state): which faults to inject,
     each with a {!trigger} saying {e when}. The derivations
-    ({!worker_fault}, {!spawn_fault}, {!journal_fault}) turn the plan
-    into the hooks the execution layers consult at their injection
-    points.
+    ({!journal_fault}, {!server_fault}) turn the plan into the hooks the
+    execution layers consult at their injection points.
 
     Determinism: a trigger fires as a pure function of
     [(plan seed, fault kind, opportunity index)]. [At n] fires on
@@ -19,23 +18,9 @@
     kind and index, so the same plan torments the same run the same way
     every time. Every fault in the catalogue is {e recoverable}: a
     campaign under any chaos plan must produce output bit-for-bit
-    identical to the chaos-free run (hangs and crashes are requeued,
-    torn and corrupt frames dropped and recomputed, journal errors
-    degrade durability without touching results, spawn failures fall
-    back to in-process execution). *)
-
-type fault =
-  | Torn_frame  (** worker dies mid-frame write *)
-  | Corrupt_frame  (** worker bit-flips a result frame (CRC must catch) *)
-  | Hang
-      (** worker holds its pipe open, stops heartbeating and never
-          responds — the open-pipe hang that only a heartbeat deadline
-          can detect *)
-  | Crash  (** worker exits without writing anything *)
-  | Slow of float
-      (** worker delays its results this many seconds while continuing
-          to heartbeat — slow but healthy, must {e not} be killed by
-          hang detection *)
+    identical to the chaos-free run (journal errors degrade durability
+    without touching results; dropped connections are absorbed by the
+    client reconnecting and resubmitting). *)
 
 type trigger =
   | At of int  (** fire on exactly the [n]-th opportunity (1-based) *)
@@ -45,17 +30,11 @@ type trigger =
 
 type t = {
   seed : int;  (** seeds every [Rate] draw ({!Inject.Prng.derive}) *)
-  worker : (fault * trigger) list;
-      (** frame-level worker faults; opportunity = job-global batch
-          assignment sequence number, first firing entry wins *)
   journal_write : trigger option;
       (** the append's write fails mid-record; opportunity = append
           index within one writer *)
   journal_fsync : trigger option;
       (** the append's fsync fails; opportunity = append index *)
-  spawn : trigger option;
-      (** the worker spawn fails; opportunity = spawn attempt index
-          within one sharded run *)
   accept : trigger option;
       (** the campaign server drops a client connection right after
           accepting it; opportunity = accept index within one server *)
@@ -77,15 +56,6 @@ val fires : seed:int -> salt:int -> n:int -> trigger -> bool
     [n]-th opportunity of the fault kind salted [salt]. Exposed for
     tests; the hook derivations below are the intended consumers. *)
 
-val worker_fault : t -> (slot:int -> seq:int -> fault option) option
-(** The worker-frame havoc hook for {!Shard.try_map}: consulted once
-    per batch assignment with the job-global sequence number. [None]
-    when the plan injects no worker faults. *)
-
-val spawn_fault : t -> (attempt:int -> bool) option
-(** The spawn-failure hook for {!Shard.try_map}: [true] means this
-    spawn attempt must fail. *)
-
 val journal_fault : t -> ([ `Write | `Fsync ] -> bool) option
 (** The journal-fault hook for [Scenarios.Journal.create]: each append
     consults [`Write] once (advancing the hook's append counter) and
@@ -103,11 +73,11 @@ val server_fault : t -> ([ `Accept | `Read | `Write ] -> bool) option
 val parse : ?seed:int -> string -> (t, string) result
 (** [parse ~seed spec] — the [--chaos SPEC] grammar: comma-separated
     terms, each [KIND@N] (fire on the [N]-th opportunity) or [KIND~P]
-    (fire with probability [P] per opportunity). Kinds: [hang], [crash],
-    [torn], [corrupt], [slow@N:SECS] / [slow~P:SECS] (the suffix is the
-    delay), [jwrite], [jfsync], [spawn], [accept], [sread], [swrite].
-    Worker kinds may repeat; every other kind may appear at most
-    once. *)
+    (fire with probability [P] per opportunity). Kinds: [jwrite],
+    [jfsync], [accept], [sread], [swrite]; each may appear at most once.
+    The worker-process kinds of earlier builds ([hang], [crash],
+    [torn], [corrupt], [slow], [spawn]) are rejected with an [Error]
+    naming the kind, never silently dropped. *)
 
 val to_string : t -> string
 (** Canonical spec string of the plan (the seed is carried separately,

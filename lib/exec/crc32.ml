@@ -1,6 +1,6 @@
 (* CRC-32 (IEEE 802.3, reflected, as used by gzip/zlib). Shared by the
    framed binary protocols in this repo: the scenario journal ("SJL1"
-   records) and the shard coordinator/worker pipe ("SHD1" frames). *)
+   records) and the campaign service wire ("SRV1" frames). *)
 
 let table =
   lazy

@@ -4,7 +4,7 @@
     variant used by gzip and zlib), computed over whole strings. Both
     record protocols in the repository use it to guard their payloads:
     the crash-safe scenario journal ([Scenarios.Journal], magic ["SJL1"])
-    and the multi-process shard pipe ({!Shard}, magic ["SHD1"]). A torn
+    and the campaign service wire ([Serve.Wire], magic ["SRV1"]). A torn
     or bit-flipped payload fails its CRC and the record is dropped by the
     reader instead of being unmarshalled into garbage. *)
 

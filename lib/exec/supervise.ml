@@ -75,9 +75,8 @@ let stats reports =
     policy deems retryable survive to the next round, everything else
     settles. [Pool.error.index] is rewritten from the round-local position
     back to the task's position in the original batch. [on_result] fires
-    once per task that settles [Done], with its original batch index — the
-    hook {!Shard}'s coordinator exposes for journaling, available here so
-    an in-process fallback run journals identically. *)
+    once per task that settles [Done], with its original batch index, so a
+    caller can stream settled results somewhere durable. *)
 let supervise ?on_result p run_batch f xs =
   let n = List.length xs in
   let reports = Array.make n None in

@@ -52,8 +52,7 @@ val backoff_delay : policy -> attempt:int -> float
     A delay of exactly [0.] (e.g. any policy with [base_delay_s = 0.]) is
     a fast path: the supervisor neither sleeps nor records a
     [supervise.backoff_s] histogram sample, so zero-delay retry policies —
-    used by crash-recovery tests and by {!Shard}'s deferred requeues — cost
-    no wall-clock time. *)
+    used by crash-recovery tests — cost no wall-clock time. *)
 
 type 'a status =
   | Done of 'a  (** completed, possibly after retries *)
@@ -89,10 +88,8 @@ val try_map_pool :
     input [i] (submission order). Each retry round re-submits only the
     still-failing tasks, as one batch, after a single backoff sleep.
     [on_result i v] fires once per task that settles [Done v], with the
-    task's position in the original batch — the same settle hook
-    {!Shard.try_map} exposes, so callers that stream results somewhere
-    durable (the campaign journal) behave identically whether a batch
-    runs sharded or falls back in-process. It is {e not} called for
+    task's position in the original batch, so a caller can stream results
+    somewhere durable as they settle. It is {e not} called for
     quarantined tasks.
 
     [abort] as in {!Pool.try_map_pool}, with one supervision-specific

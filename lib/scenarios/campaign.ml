@@ -267,46 +267,30 @@ let cell_key ~seed ~window ~defects (fault : Inject.Fault.t) (s : Defs.t) =
     semantics hold: the first cell failure re-raises after the batch
     settles.
 
-    [shards] switches the grid to multi-process execution on
-    [Exec.Shard]: cells are simulated in [shards] resident worker
-    processes (each with [domains] domains, [batch] cells per assignment
-    frame), while classification results, the journal and the cell
-    counters stay with the coordinator. The matrix and CSV are
-    bit-for-bit identical to the single-process run for any shard count
-    and batch size, including across worker crashes.
-
     The journal degrades instead of aborting: a device error (ENOSPC,
     EIO) mid-campaign switches the writer to memory-only mode — the grid
     completes, [robustness.degraded] is raised, and only durability is
     lost. [chaos] injects a deterministic infrastructure-fault plan
-    ({!Exec.Chaos}): worker faults and spawn failures apply to the
-    sharded branch, journal faults to any journaled run. Every fault in
-    the catalogue is recoverable, so the matrix under any chaos plan is
-    bit-for-bit the chaos-free one. [hang_timeout_s] / [deadline_s]
-    configure the sharded coordinator's liveness sweep
-    ({!Exec.Shard.try_map}). [fleet] names the resident worker fleet the
-    sharded branch uses (default: the anonymous fleet); concurrent
-    campaigns driven from separate coordinator domains — the serve
-    daemon's executor lanes — must pass distinct labels so each gets its
-    own disjoint worker processes.
+    ({!Exec.Chaos}); its journal faults apply to any journaled run.
+    Every fault in the catalogue is recoverable, so the matrix under any
+    chaos plan is bit-for-bit the chaos-free one.
 
     [on_cell] is a progress-and-streaming hook, called once per settled
     cell with the cell itself — replayed cells right after the journal
     replay, executed cells as their results arrive. It runs on whichever
-    thread settles the cell (the coordinator for sharded runs, a pool
-    domain otherwise), so it must be thread-safe and fast: an
+    thread settles the cell (the caller for replayed cells, a pool domain
+    for executed ones), so it must be thread-safe and fast: an
     [Atomic.incr] feeding a progress gauge, or an
     [Analytics.Analyze.observe] feeding the streaming emergence miner
     (which serializes internally), are the intended shapes. [abort] is
-    the campaign-service cancellation probe, threaded to {!Exec.Shard.try_map} /
+    the campaign-service cancellation probe, threaded to
     {!Exec.Supervise.try_map}: once it answers [true], unstarted cells
     stop executing and the run raises {!Exec.Pool.Aborted} (regardless
     of [retry]) — completed cells are already journaled, so a resumed
     run continues exactly past the abort point. *)
-let run ?fleet ?domains ?shards ?batch ?use_cache
-    ?(defects = Vehicle.Defects.repaired)
+let run ?domains ?use_cache ?(defects = Vehicle.Defects.repaired)
     ?(window = Runner.default_window) ?journal ?(resume = false) ?retry
-    ?on_cell ?abort ?chaos ?hang_timeout_s ?deadline_s (g : grid) : t =
+    ?on_cell ?abort ?chaos (g : grid) : t =
   let pairs =
     List.concat_map
       (fun f -> List.map (fun s -> (f, s)) g.grid_scenarios)
@@ -367,33 +351,14 @@ let run ?fleet ?domains ?shards ?batch ?use_cache
       | None -> Exec.Supervise.policy ~max_attempts:1 ()
     in
     let execute writer =
-      match shards with
-      | Some s ->
-          (* Multi-process execution: workers only simulate — the journal
-             and the cell counters stay with this coordinator process, fed
-             from [on_result] as each cell's frame arrives, so crash-safe
-             resume works unchanged (a worker SIGKILL costs at most the
-             cells in flight, exactly like a domain crash cannot). *)
-          let keys = Array.of_list (List.map (fun (_, k, _) -> k) todo) in
-          Exec.Shard.try_map ?fleet ~shards:s ?domains ?batch ~policy ?abort
-            ?havoc:(Option.bind chaos Exec.Chaos.worker_fault)
-            ?spawn_fault:(Option.bind chaos Exec.Chaos.spawn_fault)
-            ?hang_timeout_s ?deadline_s
-            ~on_result:(fun i cell ->
-              Option.iter (fun w -> Journal.append w ~key:keys.(i) cell) writer;
-              Obs.Metrics.incr m_cells_executed;
-              cell_done cell)
-            (fun (pair, _, _) -> simulate pair)
-            todo
-      | None ->
-          let task (pair, k, _) =
-            let cell = simulate pair in
-            Option.iter (fun w -> Journal.append w ~key:k cell) writer;
-            Obs.Metrics.incr m_cells_executed;
-            cell_done cell;
-            cell
-          in
-          Exec.Supervise.try_map ?domains ~policy ?abort task todo
+      let task (pair, k, _) =
+        let cell = simulate pair in
+        Option.iter (fun w -> Journal.append w ~key:k cell) writer;
+        Obs.Metrics.incr m_cells_executed;
+        cell_done cell;
+        cell
+      in
+      Exec.Supervise.try_map ?domains ~policy ?abort task todo
     in
     Obs.span "campaign.grid" (fun () ->
         match journal with

@@ -23,7 +23,7 @@ let header_len = 12
 let max_payload = 1 lsl 28
 
 (* The checksum is the shared IEEE CRC-32 used by every framed record
-   protocol in the repo (journal "SJL1" records, shard "SHD1" frames). *)
+   protocol in the repo (journal "SJL1" records, serve "SRV1" frames). *)
 let crc32 = Exec.Crc32.digest
 
 (* ------------------------------------------------------------------ *)

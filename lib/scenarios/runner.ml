@@ -105,37 +105,14 @@ let run ?(use_cache = true) ?(defects = Vehicle.Defects.as_evaluated)
     re-raises immediately after the batch settles, as before. The fleet
     result always contains every scenario — [run_all] never thins the
     fleet, because its consumers (sweeps, figures, estimates) index it
-    positionally.
-
-    [shards] fans the fleet out over the resident worker fleet instead
-    ([Exec.Shard], [domains] domains per worker, [batch] scenarios per
-    assignment frame); results are identical to the in-process
-    dispatches. Without [retry] the sharded fleet keeps the fail-fast
-    contract (a single-attempt policy), so crashes and task failures
-    re-raise rather than thin the fleet. [chaos] injects the plan's
-    worker and spawn faults into the sharded dispatch ([Exec.Chaos] —
-    all recoverable, results unchanged); [hang_timeout_s] / [deadline_s]
-    configure the coordinator's liveness sweep. All three are ignored by
-    the in-process dispatches. *)
-let run_all ?domains ?shards ?batch ?use_cache ?defects ?timing ?dynamics
-    ?inject ?window ?retry ?chaos ?hang_timeout_s ?deadline_s () =
+    positionally. *)
+let run_all ?domains ?use_cache ?defects ?timing ?dynamics ?inject ?window
+    ?retry () =
   Obs.span "runner.fleet" (fun () ->
       let f = run ?use_cache ?defects ?timing ?dynamics ?inject ?window in
-      match shards with
-      | Some s ->
-          let policy =
-            match retry with
-            | Some p -> p
-            | None -> Exec.Supervise.policy ~max_attempts:1 ()
-          in
-          Exec.Shard.map ~shards:s ?domains ?batch ~policy
-            ?havoc:(Option.bind chaos Exec.Chaos.worker_fault)
-            ?spawn_fault:(Option.bind chaos Exec.Chaos.spawn_fault)
-            ?hang_timeout_s ?deadline_s f Defs.all
-      | None -> (
-          match retry with
-          | None -> Exec.Pool.map ?domains f Defs.all
-          | Some policy -> Exec.Supervise.map ?domains ~policy f Defs.all))
+      match retry with
+      | None -> Exec.Pool.map ?domains f Defs.all
+      | Some policy -> Exec.Supervise.map ?domains ~policy f Defs.all)
 
 (* ------------------------------------------------------------------ *)
 (* Cross-process persistence: journaled single-scenario runs.

@@ -4,7 +4,7 @@
     Concurrency shape: the main thread owns every socket and every piece
     of request state, multiplexed through one [Unix.select] loop;
     [concurrent] executor {e lanes} (domains) each run one campaign at a
-    time, warm per-lane fleet and shared outcome cache resident between
+    time, with the domain pool and shared outcome cache resident between
     them. Lanes and main loop meet through three structures guarded by
     one mutex — the backlog, the done queue and the [running] list —
     plus per-request atomics ([abort], [progress]) that the campaign
@@ -62,7 +62,6 @@ type config = {
   stall_timeout_s : float;
   retry_after_s : float;
   domains : int option;
-  shards : int option;
   chaos : Exec.Chaos.t option;
   metrics_path : string option;
 }
@@ -80,7 +79,6 @@ let default_config ~socket ~state_dir =
     stall_timeout_s = 10.;
     retry_after_s = 1.;
     domains = None;
-    shards = None;
     chaos = None;
     metrics_path = None;
   }
@@ -288,7 +286,7 @@ and kill_req s (r : req) ~kill =
         (* Cooperative: the campaign sees the probe at the next cell
            boundary, raises [Exec.Pool.Aborted], and the executor
            settles it as [Checkpointed] — cells are reclaimed, the
-           fleet stays warm. *)
+           pool stays warm. *)
         Atomic.set r.abort true
     | `Queued | `Settled -> settle s r Checkpointed
   end
@@ -555,7 +553,7 @@ let gc_store s =
         Obs.Metrics.set g_store_bytes (float_of_int !remaining)
       end
 
-let run_request s ~lane (r : req) =
+let run_request s (r : req) =
   let t0 = Obs.Clock.now () in
   let retry =
     if r.spec.Wire.retries > 0 then
@@ -569,20 +567,19 @@ let run_request s ~lane (r : req) =
      cancel, orphaning) with the global drain stop; either aborts the
      campaign at the next cell boundary. *)
   let abort () = Atomic.get r.abort || Atomic.get s.stop in
-  (* Fleet-share scheduling: with [concurrent = k] lanes, each lane
-     leases a 1/k share of the configured worker fleet under its own
-     label — disjoint resident worker processes per lane, so one
-     campaign's crash/abort recovery never touches a neighbour's
-     workers. With one lane the anonymous full-size fleet is used, so
-     [concurrent = 1] is byte- and fleet-identical to the old daemon. *)
+  (* Pool-share scheduling: with [concurrent = k] lanes and explicit
+     [domains], each lane runs its cells on a 1/k share of them; without
+     [domains] every lane leases the shared pool, whose fair-share lease
+     ring interleaves the lanes' batches job by job. Either way one
+     lane's abort never touches a neighbour's cells. *)
   let k = max 1 s.cfg.concurrent in
-  let fleet = if k > 1 then Some (Printf.sprintf "lane%d" lane) else None in
-  let share n = max 1 (n / k) in
-  let shards = Option.map share s.cfg.shards in
-  let domains = if k > 1 then Option.map share s.cfg.domains else s.cfg.domains in
+  let domains =
+    if k > 1 then Option.map (fun n -> max 1 (n / k)) s.cfg.domains
+    else s.cfg.domains
+  in
   Obs.Metrics.incr m_slot_leases;
   match
-    Scenarios.Campaign.run ?fleet ?domains ?shards ?window:r.spec.Wire.window
+    Scenarios.Campaign.run ?domains ?window:r.spec.Wire.window
       ~journal:(cells_path s.cfg r.digest)
       ~resume:true ?retry
       ~on_cell:(fun _cell -> Atomic.incr r.progress)
@@ -606,7 +603,7 @@ let run_request s ~lane (r : req) =
    the next free lane immediately — the head-of-line block the
    concurrent daemon exists to remove. Entries settled while queued
    (kill, drain) are pruned on the way. *)
-let executor s ~lane =
+let executor s =
   let rec next () =
     Mutex.lock s.m;
     let rec pick () =
@@ -641,7 +638,7 @@ let executor s ~lane =
     | None -> ()
     | Some r ->
         Obs.Metrics.observe h_queue_wait (Obs.Clock.now () -. r.submitted_at);
-        let outcome = run_request s ~lane r in
+        let outcome = run_request s r in
         Mutex.lock s.m;
         s.running <- List.filter (fun r' -> r' != r) s.running;
         Obs.Metrics.set g_concurrent (float_of_int (List.length s.running));
@@ -986,8 +983,8 @@ let run cfg =
   let ltcp = Option.map listen_tcp cfg.tcp_port in
   let listeners = lunix :: Option.to_list ltcp in
   let lanes =
-    List.init (max 1 cfg.concurrent) (fun lane ->
-        Domain.spawn (fun () -> executor s ~lane))
+    List.init (max 1 cfg.concurrent) (fun _ ->
+        Domain.spawn (fun () -> executor s))
   in
   main_loop s listeners;
   final_flush s;

@@ -1,8 +1,8 @@
 (** The campaign service daemon.
 
     A long-lived server in front of the execution stack: it keeps the
-    warm {!Exec.Shard} fleet, the in-process outcome cache and the trace
-    store resident across requests, and serves campaign evaluation over
+    domain pool, the in-process outcome cache and the trace store
+    resident across requests, and serves campaign evaluation over
     a Unix (and optionally TCP) socket speaking {!Wire}. One request =
     one campaign grid; the reply carries the same CSV the batch CLI
     writes, byte for byte.
@@ -17,11 +17,11 @@
       says double), so saturated-server retries spread instead of
       synchronizing into a thundering herd. Per-client concurrency
       quotas bound what any one client can hold.
-    - {e Fleet-share scheduling}: [concurrent] executor lanes (domains)
-      run admitted campaigns in parallel, each leasing a [1/concurrent]
-      share of the configured shard fleet under its own label —
-      disjoint resident worker processes per lane
-      ([serve.concurrent] gauge, [serve.slot_leases] counter). A free
+    - {e Pool-share scheduling}: [concurrent] executor lanes (domains)
+      run admitted campaigns in parallel, each on a [1/concurrent] share
+      of the configured [domains], or leasing the shared pool's
+      fair-share ring when [domains] is unset ([serve.concurrent]
+      gauge, [serve.slot_leases] counter). A free
       lane picks the {e smallest} queued grid first (FIFO among
       equals), so a 1-cell probe submitted behind a long grid completes
       first instead of head-of-line blocking. Results stay
@@ -32,7 +32,7 @@
       with its remaining cells reclaimed ({!Exec.Pool.Aborted}).
     - {e Disconnect detection}: a request whose every client has gone
       away is abandoned the same way; orphaned work never poisons the
-      fleet.
+      pool.
     - {e Durability}: every admitted request is journaled ([Pending])
       before it is acknowledged, and every cell result is journaled as
       it settles. A SIGKILLed server finds the orphans on restart,
@@ -54,8 +54,7 @@
     - {e Degradation tiers}: a journal device failure flips the server
       degraded ([serve.degraded] gauge, [durable = false] in results)
       and halves the admission bound — a sick server sheds load instead
-      of dying; {!Exec.Shard}'s in-process fallback covers total spawn
-      failure below it.
+      of dying.
 
     {!Exec.Chaos} server fault points ([accept] / [sread] / [swrite])
     thread through the accept/read/write paths: each drops the client's
@@ -74,7 +73,7 @@ type config = {
   quota : int;  (** per-client concurrent-request quota (>= 1) *)
   concurrent : int;
       (** executor lanes: campaigns run at once, each on a [1/concurrent]
-          fleet share (>= 1; 1 = the sequential daemon) *)
+          pool share (>= 1; 1 = the sequential daemon) *)
   store_budget_bytes : int;
       (** result-store size budget; LRU eviction past it (0 = unbounded) *)
   default_deadline_s : float option;
@@ -86,7 +85,6 @@ type config = {
       (** base backpressure hint in [Rejected] replies; the wire value
           is this base scaled up with current queue depth *)
   domains : int option;  (** domains for campaign execution *)
-  shards : int option;  (** shard the campaigns across worker processes *)
   chaos : Exec.Chaos.t option;
       (** deterministic fault plan; server fault points consult it at
           accept/read/write, and it is threaded into each campaign run *)
@@ -102,5 +100,4 @@ val default_config : socket:string -> state_dir:string -> config
 val run : config -> unit
 (** Run the daemon until a drain completes (SIGTERM, SIGINT or a [Drain]
     request). Returns normally after the drain — the caller owns the
-    exit code. The process must have called {!Exec.Shard.init} first
-    thing in [main] when [shards] is used. *)
+    exit code. *)

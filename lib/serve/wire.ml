@@ -37,11 +37,11 @@ type response =
   | Stats_reply of { json : string }
   | Draining_ack of { settled : int; checkpointed : int }
 
-(* Same codec shape as [Exec.Shard.Frame], with two deliberate
-   differences: the magic ("SRV1") keeps a shard worker pipe and a
-   service socket from ever decoding each other's streams, and payloads
-   marshal WITHOUT [Closures] — the wire carries pure data only, so a
-   client binary never needs to share code with the server. *)
+(* Same record shape as the scenario journal, with two deliberate
+   differences: the magic ("SRV1") keeps a journal file and a service
+   socket from ever decoding each other's streams, and payloads marshal
+   WITHOUT [Closures] — the wire carries pure data only, so a client
+   binary never needs to share code with the server. *)
 module Frame = struct
   let magic = "SRV1"
   let header_len = 12

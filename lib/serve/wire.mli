@@ -1,6 +1,6 @@
 (** The campaign service's wire protocol (["SRV1"]).
 
-    Same framing discipline as the shard pipe and the scenario journal —
+    Same framing discipline as the scenario journal —
     [magic | payload length : u32le | CRC-32 : u32le | payload] — but
     with its own magic and, crucially, {e closure-free} payloads:
     everything on the wire is pure data ([Marshal] without [Closures]),
@@ -81,8 +81,8 @@ type response =
       (** drain accepted: requests already completed vs. checkpointed to
           the journal for the next incarnation to resume *)
 
-(** Frame codec for both directions, mirroring {!Exec.Shard.Frame} with
-    magic ["SRV1"] and closure-free payloads. *)
+(** Frame codec for both directions: magic ["SRV1"] and closure-free
+    payloads. *)
 module Frame : sig
   type buf
   (** Growable reassembly buffer for one connection's byte stream. *)

@@ -8,8 +8,8 @@
     (unboxed [floatarray] for numeric signals, packed bytes for booleans,
     interned ids for symbolic enumerations) instead of one [State.t] map
     per tick. The flat, pointer-free columns cost the GC nothing to
-    retain, [Marshal] ships them as near-memcpy blobs across shard-worker
-    pipes, and {!Rtmon.Incremental} reads one signal across all states
+    retain, [Marshal] ships them as near-memcpy blobs, and
+    {!Rtmon.Incremental} reads one signal across all states
     without a map lookup per atom. The packed form is {e canonical} — a
     function of [dt] and the cell values alone — so structurally equal
     traces marshal to identical bytes regardless of how they were built.

@@ -1,8 +1,8 @@
 (** Chaos plans: the [--chaos] grammar, trigger determinism, and the
     hook derivations the execution layers consult at their injection
     points. The end-to-end behaviour of the injected faults lives in
-    [test_shard] (worker and spawn faults) and [test_journal] (journal
-    faults); this suite pins the plan algebra itself. *)
+    [test_journal] (journal faults) and [test_serve] (server faults);
+    this suite pins the plan algebra itself. *)
 
 let plan spec =
   match Exec.Chaos.parse ~seed:7 spec with
@@ -20,19 +20,17 @@ let test_parse_canonical_round_trip () =
           Alcotest.(check bool) (spec ^ ": to_string round-trips") true (p = q)
       | Error e -> Alcotest.failf "re-parse %S: %s" spec e)
     [
-      "hang@2";
-      "crash@4,torn@6,corrupt@8";
-      "slow@3:0.5";
-      "hang~0.25,slow~0.1:2";
-      "jwrite@3,jfsync@5,spawn@1";
+      "jwrite@3";
+      "jwrite@3,jfsync@5";
+      "jfsync~0.25";
       "accept@1,sread@2,swrite@3";
       "sread~0.25";
-      "hang@2,hang@9";
+      "jwrite@2,accept~0.1,swrite@9";
     ]
 
 let test_parse_tolerates_whitespace () =
   Alcotest.(check bool) "terms are trimmed" true
-    (plan " hang@2 , crash@4 " = plan "hang@2,crash@4")
+    (plan " jwrite@2 , accept@4 " = plan "jwrite@2,accept@4")
 
 let test_parse_errors () =
   List.iter
@@ -46,15 +44,23 @@ let test_parse_errors () =
             (Str.string_match (Str.regexp (".*" ^ Str.quote needle)) e 0))
     [
       ("", "empty");
-      ("hang", "KIND@N");
-      ("hang@0", "positive");
-      ("hang~1.5", "[0, 1]");
+      ("jwrite", "KIND@N");
+      ("jwrite@0", "positive");
+      ("jwrite~1.5", "[0, 1]");
+      ("jwrite@1:3", "positive");
       ("bogus@1", "unknown");
-      ("hang@1:3", "slow");
-      ("slow@1", "SECS");
       ("jwrite@1,jwrite@2", "duplicate");
       ("accept@1,accept@2", "duplicate");
-      ("hang@1~0.5", "at most one");
+      ("jwrite@1~0.5", "at most one");
+      (* The worker-process kinds are rejected by name, never dropped —
+         also when they ride along with a valid term. *)
+      ("hang@2", "\"hang\"");
+      ("crash@4", "\"crash\"");
+      ("torn@6", "\"torn\"");
+      ("corrupt~0.5", "\"corrupt\"");
+      ("slow@3:0.5", "\"slow\"");
+      ("spawn@1", "\"spawn\"");
+      ("jwrite@3,hang@2", "\"hang\"");
     ]
 
 let test_fires_determinism () =
@@ -98,29 +104,15 @@ let test_is_empty () =
     (Exec.Chaos.is_empty Exec.Chaos.none);
   Alcotest.(check bool) "seed alone keeps a plan empty" true
     (Exec.Chaos.is_empty { Exec.Chaos.none with Exec.Chaos.seed = 9 });
-  Alcotest.(check bool) "a worker fault makes it non-empty" false
-    (Exec.Chaos.is_empty (plan "hang@1"));
   Alcotest.(check bool) "a journal fault makes it non-empty" false
-    (Exec.Chaos.is_empty (plan "jwrite@1"))
+    (Exec.Chaos.is_empty (plan "jwrite@1"));
+  Alcotest.(check bool) "a server fault makes it non-empty" false
+    (Exec.Chaos.is_empty (plan "accept@1"))
 
-let test_worker_fault_hook () =
-  Alcotest.(check bool) "empty plan derives no hook" true
-    (Exec.Chaos.worker_fault Exec.Chaos.none = None);
-  let hook = Option.get (Exec.Chaos.worker_fault (plan "hang@2,crash@2,torn@5")) in
-  Alcotest.(check bool) "quiet opportunity injects nothing" true
-    (hook ~slot:0 ~seq:1 = None);
-  Alcotest.(check bool) "first firing entry wins" true
-    (hook ~slot:0 ~seq:2 = Some Exec.Chaos.Hang);
-  Alcotest.(check bool) "later entries fire on their own index" true
-    (hook ~slot:1 ~seq:5 = Some Exec.Chaos.Torn_frame)
-
-let test_spawn_and_journal_hooks () =
-  Alcotest.(check bool) "no spawn term, no hook" true
-    (Exec.Chaos.spawn_fault (plan "hang@1") = None);
-  let p = plan "spawn@1,jwrite@2,jfsync@3" in
-  let spawn = Option.get (Exec.Chaos.spawn_fault p) in
-  Alcotest.(check bool) "spawn fires on its attempt" true (spawn ~attempt:1);
-  Alcotest.(check bool) "spawn silent afterwards" false (spawn ~attempt:2);
+let test_journal_hook () =
+  Alcotest.(check bool) "server-only plan derives no journal hook" true
+    (Exec.Chaos.journal_fault (plan "accept@1") = None);
+  let p = plan "jwrite@2,jfsync@3" in
   (* The journal hook is stateful: [`Write] advances the append index,
      [`Fsync] reads the same index — one hook per writer. *)
   let j = Option.get (Exec.Chaos.journal_fault p) in
@@ -135,8 +127,8 @@ let test_spawn_and_journal_hooks () =
     (Option.get (Exec.Chaos.journal_fault p) `Write)
 
 let test_server_fault_hook () =
-  Alcotest.(check bool) "worker-only plan derives no server hook" true
-    (Exec.Chaos.server_fault (plan "hang@1") = None);
+  Alcotest.(check bool) "journal-only plan derives no server hook" true
+    (Exec.Chaos.server_fault (plan "jwrite@1") = None);
   let hook = Option.get (Exec.Chaos.server_fault (plan "accept@2,swrite@1")) in
   (* Each fault point keeps its own opportunity counter: interleaved
      reads and writes must not advance the accept count. *)
@@ -170,10 +162,7 @@ let () =
         ] );
       ( "hooks",
         [
-          Alcotest.test_case "worker fault derivation" `Quick
-            test_worker_fault_hook;
-          Alcotest.test_case "spawn and journal derivations" `Quick
-            test_spawn_and_journal_hooks;
+          Alcotest.test_case "journal derivation" `Quick test_journal_hook;
           Alcotest.test_case "server fault derivation" `Quick
             test_server_fault_hook;
         ] );

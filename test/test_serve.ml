@@ -5,11 +5,6 @@
     of this very binary (OCaml 5 forbids fork after the first domain
     spawns), steered by the [TEST_SERVE_DAEMON] environment variable. *)
 
-(* Workers are re-executions of this binary: the intercept must run
-   before anything else, or a shard "worker" would start running the
-   test suite instead. *)
-let () = Exec.Shard.init ()
-
 (* ------------------------------------------------------------------ *)
 (* Daemon-mode intercept                                                *)
 
@@ -47,7 +42,6 @@ let () =
             (match get "store_budget" with
             | Some v -> int_of_string v
             | None -> cfg.Serve.Server.store_budget_bytes);
-          shards = Option.map int_of_string (get "shards");
           default_deadline_s = Option.map float_of_string (get "deadline");
           stall_timeout_s =
             (match get "stall" with Some v -> float_of_string v | None -> 10.);
@@ -589,12 +583,12 @@ let test_interleaved_identical () =
     (batch_csv quick2_spec) (wait_result s2)
 
 (* Aborting one concurrent request (here: by orphaning — its only
-   client disconnects) must leave the neighbour lane's fleet lease
-   untouched: the survivor completes byte-identical. [shards=2] with
-   two lanes exercises the labelled per-lane fleet split (one worker
-   process each). *)
+   client disconnects) must leave the neighbour lane's campaign
+   untouched: the survivor completes byte-identical. Two lanes with no
+   explicit domains both lease the shared pool, so the aborted batch
+   and the survivor interleave on the same fair-share lease ring. *)
 let test_abort_leaves_other () =
-  let d = start_daemon ~args:[ "concurrent=2"; "shards=2" ] () in
+  let d = start_daemon ~args:[ "concurrent=2" ] () in
   Fun.protect ~finally:(fun () -> stop_daemon d) @@ fun () ->
   let s1 = connect d in
   expect_welcome s1;
@@ -606,8 +600,8 @@ let test_abort_leaves_other () =
   expect_welcome s2;
   submit s2 medium_spec;
   expect_accept s2;
-  (* Orphan-kill the long grid mid-run; the survivor's workers belong
-     to the other lane's fleet and must not notice. *)
+  (* Orphan-kill the long grid mid-run; the survivor's cells share the
+     pool with the aborted batch and must not notice. *)
   disconnect s1;
   Alcotest.(check string) "survivor CSV byte-identical"
     (batch_csv medium_spec) (wait_result s2);
@@ -735,7 +729,7 @@ let () =
             test_small_jumps_large;
           Alcotest.test_case "interleaved campaigns byte-identical" `Slow
             test_interleaved_identical;
-          Alcotest.test_case "abort of one lane leaves the other's fleet"
+          Alcotest.test_case "abort of one lane leaves the other's campaign"
             `Slow test_abort_leaves_other;
           Alcotest.test_case "SIGKILL, restart resumes both campaigns" `Slow
             test_sigkill_restart_resumes_both;

@@ -174,7 +174,7 @@ let test_backoff_schedule () =
 
 let test_zero_delay_fast_path () =
   (* A zero-delay policy must neither sleep nor record backoff samples:
-     shard crash-recovery tests lean on this to retry without wall-clock
+     crash-recovery tests lean on this to retry without wall-clock
      waits. The histogram count is the deterministic witness — a slept
      delay is always observed, a skipped one never is. *)
   let h = Obs.Metrics.histogram "supervise.backoff_s" in
