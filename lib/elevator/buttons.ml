@@ -11,6 +11,7 @@
     - ["served_floor"] — the dispatch controller's feedback clearing calls. *)
 
 open Tl
+module F = Sim.Frame
 
 type direction = Up | Down
 
@@ -21,36 +22,33 @@ let hall_call f d = Fmt.str "hall_call_%d_%s" f (direction_to_string d)
 let car_press f = Fmt.str "car_button_press_%d" f
 let car_call f = Fmt.str "car_call_%d" f
 
+(* A button controller latches its press into its call until the
+   dispatch controller reports the floor served. *)
+let latch ~floor:f ~press ~call b =
+  let press = F.Bind.bool b press
+  and call = F.Bind.bool b call
+  and served = F.Bind.int b "served_floor" in
+  fun fr ->
+    let pressed = F.bool fr press in
+    let latched = F.bool fr call in
+    (* floors start at 1, so a non-integer [served_floor] serves none *)
+    let served = F.int_or fr served 0 = f in
+    F.set_bool fr call ((pressed || latched) && not served)
+
 (** One car-button controller per floor [f]: latches the press into the
     call until the floor is served. *)
 let car_button_controller ~floor:f : Sim.Component.t =
   Sim.Component.make
     ~name:(Fmt.str "CarButtonController_%d" f)
     ~outputs:[ (car_call f, Value.Bool false) ]
-    (fun ctx ->
-      let pressed = Sim.Component.read_bool ctx (car_press f) in
-      let latched = Sim.Component.read_bool ctx (car_call f) in
-      let served =
-        match Sim.Component.read ctx "served_floor" with
-        | Value.Int sf -> sf = f
-        | _ -> false
-      in
-      [ (car_call f, Value.Bool ((pressed || latched) && not served)) ])
+    (latch ~floor:f ~press:(car_press f) ~call:(car_call f))
 
 (** One hall-button controller per floor and direction. *)
 let hall_button_controller ~floor:f ~direction:d : Sim.Component.t =
   Sim.Component.make
     ~name:(Fmt.str "HallButtonController_%d_%s" f (direction_to_string d))
     ~outputs:[ (hall_call f d, Value.Bool false) ]
-    (fun ctx ->
-      let pressed = Sim.Component.read_bool ctx (hall_press f d) in
-      let latched = Sim.Component.read_bool ctx (hall_call f d) in
-      let served =
-        match Sim.Component.read ctx "served_floor" with
-        | Value.Int sf -> sf = f
-        | _ -> false
-      in
-      [ (hall_call f d, Value.Bool ((pressed || latched) && not served)) ])
+    (latch ~floor:f ~press:(hall_press f d) ~call:(hall_call f d))
 
 (** All button-controller components for a building of [floors] floors
     (floor 1 has no down hall button; the top floor no up button). *)
@@ -72,15 +70,35 @@ let press_inputs ~floors =
          @ if f > 1 then [ (hall_press f Down, Value.Bool false) ] else []))
     (List.init floors (fun i -> i + 1))
 
-(** Outstanding calls visible in a snapshot, nearest-first relative to the
-    given floor — the dispatch controller's view. *)
-let outstanding ~floors (s : State.t) ~from =
+(** The call slots of a building, bound once: index [f - 1] is floor [f]
+    (a missing hall button's entry is never read). *)
+type calls = {
+  car : bool F.slot array;
+  up : bool F.slot array;
+  down : bool F.slot array;
+}
+
+let bind_calls ~floors b =
+  let per valid call =
+    Array.init floors (fun i ->
+        let f = i + 1 in
+        F.Bind.bool b (if valid f then call f else car_call f))
+  in
+  {
+    car = per (fun _ -> true) car_call;
+    up = per (fun f -> f < floors) (fun f -> hall_call f Up);
+    down = per (fun f -> f > 1) (fun f -> hall_call f Down);
+  }
+
+(** Outstanding calls visible in the previous snapshot, nearest-first
+    relative to the given floor — the dispatch controller's view. *)
+let outstanding ~floors calls fr ~from =
   let calls =
     List.filter
       (fun f ->
-        State.bool s (car_call f)
-        || (f < floors && State.bool s (hall_call f Up))
-        || (f > 1 && State.bool s (hall_call f Down)))
+        F.bool fr calls.car.(f - 1)
+        || (f < floors && F.bool fr calls.up.(f - 1))
+        || (f > 1 && F.bool fr calls.down.(f - 1)))
       (List.init floors (fun i -> i + 1))
   in
   List.sort (fun a b -> compare (abs (a - from)) (abs (b - from))) calls

@@ -8,6 +8,7 @@
     - ["drive_speed"] m/s (positive = up). *)
 
 open Tl
+module F = Sim.Frame
 
 let dt = 0.01
 let floor_height = 4.0
@@ -30,47 +31,58 @@ let at_floor pos f = Float.abs (pos -. floor_pos f) < 0.02
 let door_motor () =
   Sim.Component.make ~name:"DoorMotor"
     ~outputs:[ ("door_position", Value.Float 0.) ]
-    (fun ctx ->
-      let p = Sim.Component.read_float ctx "door_position" in
-      let blocked = Sim.Component.read_bool ctx "passenger_blocking" in
-      let cmd = Sim.Component.read_sym ctx "dmc" in
-      let p' =
-        match cmd with
-        | "CLOSE" when not blocked -> Float.min 1. (p +. (door_rate *. ctx.Sim.Component.dt))
-        | "CLOSE" -> p (* an obstruction physically prevents closing *)
-        | _ -> Float.max 0. (p -. (door_rate *. ctx.Sim.Component.dt))
-      in
-      [ ("door_position", Value.Float p') ])
+    (fun b ->
+      let dt = F.Bind.dt b in
+      let door = F.Bind.float b "door_position"
+      and blocking = F.Bind.bool b "passenger_blocking"
+      and dmc = F.Bind.sym b "dmc" in
+      let close = F.Bind.symbol b "CLOSE" in
+      fun fr ->
+        let p = F.float fr door in
+        let blocked = F.bool fr blocking in
+        let cmd = F.sym fr dmc in
+        let p' =
+          if cmd = close && not blocked then Float.min 1. (p +. (door_rate *. dt))
+          else if cmd = close then p (* an obstruction physically prevents closing *)
+          else Float.max 0. (p -. (door_rate *. dt))
+        in
+        F.set_float fr door p')
 
 let drive ~target_of () =
   Sim.Component.make ~name:"Drive"
     ~outputs:
       [ ("drive_speed", Value.Float 0.); ("elevator_position", Value.Float 0.) ]
-    (fun ctx ->
-      let v = Sim.Component.read_float ctx "drive_speed" in
-      let pos = Sim.Component.read_float ctx "elevator_position" in
-      let cmd = Sim.Component.read_sym ctx "drc" in
-      let eb = Sim.Component.read_bool ctx "eb_applied" in
-      let target = target_of ctx in
-      let want =
-        (* approach profile: cap speed so the cab can stop at the target
-           with the available deceleration (v = sqrt(2·a·d)) *)
-        let dist = Float.abs (target -. pos) in
-        let cap = Float.min drive_speed_max (Float.sqrt (2. *. drive_accel *. dist)) in
-        if eb || cmd = "STOP" then 0.
-        else if target > pos +. 0.01 then cap
-        else if target < pos -. 0.01 then -.cap
-        else 0.
-      in
-      let accel = if eb then 4. *. drive_accel else drive_accel in
-      let dv = accel *. ctx.Sim.Component.dt in
-      let v' =
-        if Float.abs (want -. v) <= dv then want else v +. Float.copy_sign dv (want -. v)
-      in
-      [
-        ("drive_speed", Value.Float v');
-        ("elevator_position", Value.Float (pos +. (v' *. ctx.Sim.Component.dt)));
-      ])
+    (fun b ->
+      let dt = F.Bind.dt b in
+      let speed = F.Bind.float b "drive_speed"
+      and position = F.Bind.float b "elevator_position"
+      and drc = F.Bind.sym b "drc"
+      and eb_applied = F.Bind.bool b "eb_applied" in
+      let stop = F.Bind.symbol b "STOP" in
+      let target_of = target_of b in
+      fun fr ->
+        let v = F.float fr speed in
+        let pos = F.float fr position in
+        let cmd = F.sym fr drc in
+        let eb = F.bool fr eb_applied in
+        let target = target_of fr in
+        let want =
+          (* approach profile: cap speed so the cab can stop at the target
+             with the available deceleration (v = sqrt(2·a·d)) *)
+          let dist = Float.abs (target -. pos) in
+          let cap = Float.min drive_speed_max (Float.sqrt (2. *. drive_accel *. dist)) in
+          if eb || cmd = stop then 0.
+          else if target > pos +. 0.01 then cap
+          else if target < pos -. 0.01 then -.cap
+          else 0.
+        in
+        let accel = if eb then 4. *. drive_accel else drive_accel in
+        let dv = accel *. dt in
+        let v' =
+          if Float.abs (want -. v) <= dv then want else v +. Float.copy_sign dv (want -. v)
+        in
+        F.set_float fr speed v';
+        F.set_float fr position (pos +. (v' *. dt)))
 
 (** Sensors derive the sensed variables of the goal formulas from physical
     quantities (the sensor stage of Fig. 4.4). *)
@@ -85,20 +97,30 @@ let sensors () =
         ("etp", Value.Float 0.);
         ("ew", Value.Float 0.);
       ]
-    (fun ctx ->
-      let doorp = Sim.Component.read_float ctx "door_position" in
-      let speed = Sim.Component.read_float ctx "drive_speed" in
-      let pos = Sim.Component.read_float ctx "elevator_position" in
-      let blocking = Sim.Component.read_bool ctx "passenger_blocking" in
-      let load = Sim.Component.read_float ctx "passenger_load" in
-      [
-        ("dc", Value.Bool (doorp >= 0.999));
-        ("db", Value.Bool (blocking && doorp < 0.999));
-        ("es_stopped", Value.Bool (Float.abs speed < 1e-3));
-        ("drs_stopped", Value.Bool (Float.abs speed < 1e-3));
-        ("etp", Value.Float pos);
-        ("ew", Value.Float load);
-      ])
+    (fun b ->
+      let door = F.Bind.float b "door_position"
+      and speed = F.Bind.float b "drive_speed"
+      and position = F.Bind.float b "elevator_position"
+      and blocking = F.Bind.bool b "passenger_blocking"
+      and load = F.Bind.float b "passenger_load"
+      and dc = F.Bind.bool b "dc"
+      and db = F.Bind.bool b "db"
+      and es_stopped = F.Bind.bool b "es_stopped"
+      and drs_stopped = F.Bind.bool b "drs_stopped"
+      and etp = F.Bind.float b "etp"
+      and ew = F.Bind.float b "ew" in
+      fun fr ->
+        let doorp = F.float fr door in
+        let speed = F.float fr speed in
+        let pos = F.float fr position in
+        let blocking = F.bool fr blocking in
+        let load = F.float fr load in
+        F.set_bool fr dc (doorp >= 0.999);
+        F.set_bool fr db (blocking && doorp < 0.999);
+        F.set_bool fr es_stopped (Float.abs speed < 1e-3);
+        F.set_bool fr drs_stopped (Float.abs speed < 1e-3);
+        F.set_float fr etp pos;
+        F.set_float fr ew load)
 
 (* ------------------------------------------------------------------ *)
 (* Software agents                                                      *)
@@ -111,95 +133,125 @@ let sensors () =
 let dispatch_controller () =
   Sim.Component.make ~name:"DispatchController"
     ~outputs:[ ("dispatch_request", Value.Int 1); ("served_floor", Value.Int 0) ]
-    (fun ctx ->
-      let open Sim.Component in
-      let pos = read_float ctx "elevator_position" in
-      let door_open = read_float ctx "door_position" < 0.5 in
-      let stopped = read_bool ctx "es_stopped" in
-      let target = match read ctx "dispatch_request" with Value.Int f -> f | _ -> 1 in
-      let serving_now = at_floor pos target && stopped && door_open in
-      let served = if serving_now then target else 0 in
-      let target' =
-        if serving_now then target
-        else
-          match Buttons.outstanding ~floors ctx.state ~from:(nearest_floor pos) with
-          | [] -> target
-          | f :: _ ->
-              (* keep the current destination until served, unless no call
-                 remains for it *)
-              let target_called = List.mem target (Buttons.outstanding ~floors ctx.state ~from:target) in
-              if target_called && not (at_floor pos target) then target else f
-      in
-      [ ("dispatch_request", Value.Int target'); ("served_floor", Value.Int served) ])
+    (fun b ->
+      let position = F.Bind.float b "elevator_position"
+      and door = F.Bind.float b "door_position"
+      and es_stopped = F.Bind.bool b "es_stopped"
+      and request = F.Bind.int b "dispatch_request"
+      and served_floor = F.Bind.int b "served_floor" in
+      let calls = Buttons.bind_calls ~floors b in
+      fun fr ->
+        let pos = F.float fr position in
+        let door_open = F.float fr door < 0.5 in
+        let stopped = F.bool fr es_stopped in
+        let target = F.int_or fr request 1 in
+        let serving_now = at_floor pos target && stopped && door_open in
+        let served = if serving_now then target else 0 in
+        let target' =
+          if serving_now then target
+          else
+            match Buttons.outstanding ~floors calls fr ~from:(nearest_floor pos) with
+            | [] -> target
+            | f :: _ ->
+                (* keep the current destination until served, unless no
+                   call remains for it *)
+                let target_called =
+                  List.mem target (Buttons.outstanding ~floors calls fr ~from:target)
+                in
+                if target_called && not (at_floor pos target) then target else f
+        in
+        F.set_int fr request target';
+        F.set_int fr served_floor served)
 
 let door_controller () =
-  let dwell_left = ref 0. in
   Sim.Component.make ~name:"DoorController"
     ~outputs:[ ("dmc", Value.Sym "OPEN") ]
-    (fun ctx ->
-      let open Sim.Component in
-      let moving = not (read_bool ctx "es_stopped") in
-      let commanded_go = read_sym ctx "drc" = "GO" in
-      let blocked = read_bool ctx "db" in
-      let pos = read_float ctx "elevator_position" in
-      let target =
-        match read ctx "dispatch_request" with Value.Int f -> f | _ -> 1
-      in
-      if blocked then begin
-        (* door-reversal goal (priority over the running example) *)
-        dwell_left := dwell_time;
-        [ ("dmc", Value.Sym "OPEN") ]
-      end
-      else if moving || commanded_go then
-        (* Table 4.4 subgoal: close when moving or commanded to move *)
-        [ ("dmc", Value.Sym "CLOSE") ]
-      else if at_floor pos target then begin
-        if read_sym ctx "dmc" = "CLOSE" && read_bool ctx "dc" then
-          (* arrived with door closed: begin the dwell *)
-          dwell_left := dwell_time
-        else dwell_left := !dwell_left -. ctx.dt;
-        if !dwell_left > 0. then [ ("dmc", Value.Sym "OPEN") ]
-        else [ ("dmc", Value.Sym "CLOSE") ]
-      end
-      else [ ("dmc", Value.Sym "CLOSE") ])
+    (fun b ->
+      let dt = F.Bind.dt b in
+      let es_stopped = F.Bind.bool b "es_stopped"
+      and drc = F.Bind.sym b "drc"
+      and db = F.Bind.bool b "db"
+      and position = F.Bind.float b "elevator_position"
+      and request = F.Bind.int b "dispatch_request"
+      and dmc = F.Bind.sym b "dmc"
+      and dc = F.Bind.bool b "dc" in
+      let go = F.Bind.symbol b "GO"
+      and opened = F.Bind.symbol b "OPEN"
+      and close = F.Bind.symbol b "CLOSE" in
+      let dwell_left = Float.Array.make 1 0. in
+      fun fr ->
+        let moving = not (F.bool fr es_stopped) in
+        let commanded_go = F.sym fr drc = go in
+        let blocked = F.bool fr db in
+        let pos = F.float fr position in
+        let target = F.int_or fr request 1 in
+        let cmd =
+          if blocked then begin
+            (* door-reversal goal (priority over the running example) *)
+            Float.Array.set dwell_left 0 dwell_time;
+            opened
+          end
+          else if moving || commanded_go then
+            (* Table 4.4 subgoal: close when moving or commanded to move *)
+            close
+          else if at_floor pos target then begin
+            if F.sym fr dmc = close && F.bool fr dc then
+              (* arrived with door closed: begin the dwell *)
+              Float.Array.set dwell_left 0 dwell_time
+            else Float.Array.set dwell_left 0 (Float.Array.get dwell_left 0 -. dt);
+            if Float.Array.get dwell_left 0 > 0. then opened else close
+          end
+          else close
+        in
+        F.set_sym fr dmc cmd)
 
 let drive_controller () =
   Sim.Component.make ~name:"DriveController"
     ~outputs:[ ("drc", Value.Sym "STOP") ]
-    (fun ctx ->
-      let open Sim.Component in
-      let door_open = not (read_bool ctx "dc") in
-      let door_commanded_open = read_sym ctx "dmc" = "OPEN" in
-      let pos = read_float ctx "elevator_position" in
-      let target =
-        match read ctx "dispatch_request" with Value.Int f -> f | _ -> 1
-      in
-      let near_limit =
-        pos
-        >= Icpa_tables.hoistway_upper_limit
-           -. (Icpa_tables.max_stopping_distance +. Icpa_tables.safety_margin)
-      in
-      let overweight = read_float ctx "ew" > 600. in
-      if door_open || door_commanded_open || near_limit || overweight then
-        (* Table 4.4 subgoal + hoistway primary subgoal *)
-        [ ("drc", Value.Sym "STOP") ]
-      else if not (at_floor pos target) then [ ("drc", Value.Sym "GO") ]
-      else [ ("drc", Value.Sym "STOP") ])
+    (fun b ->
+      let dc = F.Bind.bool b "dc"
+      and dmc = F.Bind.sym b "dmc"
+      and position = F.Bind.float b "elevator_position"
+      and request = F.Bind.int b "dispatch_request"
+      and ew = F.Bind.float b "ew"
+      and drc = F.Bind.sym b "drc" in
+      let opened = F.Bind.symbol b "OPEN"
+      and stop = F.Bind.symbol b "STOP"
+      and go = F.Bind.symbol b "GO" in
+      fun fr ->
+        let door_open = not (F.bool fr dc) in
+        let door_commanded_open = F.sym fr dmc = opened in
+        let pos = F.float fr position in
+        let target = F.int_or fr request 1 in
+        let near_limit =
+          pos
+          >= Icpa_tables.hoistway_upper_limit
+             -. (Icpa_tables.max_stopping_distance +. Icpa_tables.safety_margin)
+        in
+        let overweight = F.float fr ew > 600. in
+        F.set_sym fr drc
+          (if door_open || door_commanded_open || near_limit || overweight then
+             (* Table 4.4 subgoal + hoistway primary subgoal *)
+             stop
+           else if not (at_floor pos target) then go
+           else stop))
 
 let emergency_brake () =
   Sim.Component.make ~name:"EmergencyBrake"
     ~outputs:[ ("eb_applied", Value.Bool false) ]
-    (fun ctx ->
-      let pos = Sim.Component.read_float ctx "etp" in
-      let applied = Sim.Component.read_bool ctx "eb_applied" in
-      (* latches once applied: hoistway secondary subgoal *)
-      let fire =
-        applied
-        || pos
-           >= Icpa_tables.hoistway_upper_limit
-              -. Icpa_tables.max_emergency_braking_distance
-      in
-      [ ("eb_applied", Value.Bool fire) ])
+    (fun b ->
+      let etp = F.Bind.float b "etp" and eb_applied = F.Bind.bool b "eb_applied" in
+      fun fr ->
+        let pos = F.float fr etp in
+        let applied = F.bool fr eb_applied in
+        (* latches once applied: hoistway secondary subgoal *)
+        let fire =
+          applied
+          || pos
+             >= Icpa_tables.hoistway_upper_limit
+                -. Icpa_tables.max_emergency_braking_distance
+        in
+        F.set_bool fr eb_applied fire)
 
 (* ------------------------------------------------------------------ *)
 (* Assembled system                                                     *)
@@ -237,10 +289,9 @@ let passenger events =
     events
 
 let world config =
-  let target_of ctx =
-    match Sim.Component.read ctx "dispatch_request" with
-    | Value.Int f -> floor_pos f
-    | _ -> 0.
+  let target_of b =
+    let request = F.Bind.value b "dispatch_request" in
+    fun fr -> match F.value fr request with Value.Int f -> floor_pos f | _ -> 0.
   in
   Sim.World.make ~dt
     (passenger config.passenger_events

@@ -7,7 +7,10 @@
     (implicitly, via its position in a {!Plan}) a derived PRNG seed. All
     mutable per-run state lives in a {!runtime} created fresh for every
     simulation, which is what keeps same-seed campaigns bit-for-bit
-    reproducible on the domain pool.
+    reproducible on the domain pool. A runtime is bound to the world's
+    slots once: it resolves its target slot and interns its constant, then
+    works on the kernel's slot frame, copying the target's cell out of the
+    next buffer and back without boxing it.
 
     Because the kernel is double-buffered, an interposed value is what every
     downstream reader — feature subsystems, the arbiter, the monitors —
@@ -83,87 +86,108 @@ let to_string f = Fmt.str "%a" pp f
 (* ------------------------------------------------------------------ *)
 (* Per-run mutable state                                                *)
 
+module Frame = Sim.Frame
+module Cell = Sim.Frame.Cell
+
 type runtime = {
   fault : t;
   gen : Prng.t;
-  queue : Value.t Queue.t;  (** delay line (fed every tick, window or not) *)
-  mutable last : Value.t option;  (** last value passed through un-faulted *)
-  mutable drift : float;  (** accumulated ramp while active *)
+  target : Value.t Frame.slot option;  (** [None]: the world lacks the signal *)
+  stuck : Cell.t;  (** the [Stuck_at] constant, interned once *)
+  cur : Cell.t;  (** the target's freshly computed cell *)
+  last : Cell.t;  (** last value passed through un-faulted; absent = none *)
+  ring : Cell.t array;  (** delay line (fed every tick, window or not) *)
+  mutable head : int;
+  mutable len : int;
+  acc : floatarray;  (** [| accumulated drift ramp; seconds until the gate toggles |] *)
   mutable gate_passing : bool;  (** intermittent: currently transparent? *)
-  mutable gate_left : float;  (** seconds until the gate toggles *)
 }
 
-let runtime ~seed fault =
+let drift = 0
+let gate_left = 1
+
+let runtime ~seed fault b =
+  let delay = match fault.model with Delay k -> max 1 (k + 1) | _ -> 1 in
   {
     fault;
     gen = Prng.create seed;
-    queue = Queue.create ();
-    last = None;
-    drift = 0.;
+    target = Frame.Bind.lookup b fault.target;
+    stuck = (match fault.model with Stuck_at x -> Cell.of_value b x | _ -> Cell.make ());
+    cur = Cell.make ();
+    last = Cell.make ();
+    ring = Array.init delay (fun _ -> Cell.make ());
+    head = 0;
+    len = 0;
+    acc = Float.Array.make 2 0.;
     gate_passing = true;
-    gate_left = 0.;
   }
 
-let perturb v f =
-  match v with
-  | Value.Float x -> Value.Float (x +. f)
-  | Value.Int x -> Value.Float (float_of_int x +. f)
-  | v -> v (* non-numeric targets pass through unperturbed *)
+(* The delay line: push [v]; past [k] entries, serve the oldest. *)
+let delayed rt k v =
+  let cap = Array.length rt.ring in
+  Cell.blit ~src:v ~dst:rt.ring.((rt.head + rt.len) mod cap);
+  rt.len <- rt.len + 1;
+  let front = rt.ring.(rt.head) in
+  if rt.len > k then begin
+    rt.head <- (rt.head + 1) mod cap;
+    rt.len <- rt.len - 1
+  end;
+  front
 
-let hold_last rt v = match rt.last with Some l -> l | None -> v
+let hold_last rt v = if Cell.kind rt.last = Cell.Absent then v else rt.last
 
-(** [apply rt ~dt ~now state] — interpose one fault on one freshly computed
-    snapshot. A target absent from the state is a no-op, so a plan written
-    for the vehicle world is harmless on a mini-world that lacks the
-    signal. *)
-let apply rt ~dt ~now state =
-  match State.find_opt rt.fault.target state with
-  | None -> state
-  | Some v ->
-      (* The delay line is fed unconditionally so that a window-activated
-         delay has history to serve from its first active tick. *)
-      let delayed k =
-        Queue.push v rt.queue;
-        if Queue.length rt.queue > k then Queue.pop rt.queue
-        else Queue.peek rt.queue
-      in
-      let faulted =
-        if not (active rt.fault now) then begin
-          (match rt.fault.model with Delay k -> ignore (delayed k) | _ -> ());
-          rt.last <- Some v;
-          rt.drift <- 0.;
-          None
+(* Numeric targets are offset (an int becomes a float); others pass
+   through unperturbed. *)
+let perturb fr s v f =
+  match Cell.kind v with
+  | Cell.Float ->
+      Cell.set_float v (Cell.float v +. f);
+      Frame.store fr s v
+  | Cell.Int ->
+      Cell.set_float v (float_of_int (Cell.int v) +. f);
+      Frame.store fr s v
+  | _ -> ()
+
+(** [apply rt ~dt fr] — interpose one fault on the freshly computed
+    snapshot, the frame's next buffer. A target absent from the world or
+    from the snapshot is a no-op, so a plan written for the vehicle world
+    is harmless on a mini-world that lacks the signal. *)
+let apply rt ~dt fr =
+  match rt.target with
+  | None -> ()
+  | Some s ->
+      let v = rt.cur in
+      Frame.load fr s v;
+      if Cell.kind v <> Cell.Absent then
+        if not (active rt.fault (Frame.now fr)) then begin
+          (match rt.fault.model with Delay k -> ignore (delayed rt k v) | _ -> ());
+          Cell.blit ~src:v ~dst:rt.last;
+          Float.Array.set rt.acc drift 0.
         end
         else
           match rt.fault.model with
-          | Stuck_at x -> Some x
-          | Dropout_hold -> Some (hold_last rt v)
+          | Stuck_at _ -> Frame.store fr s rt.stuck
+          | Dropout_hold -> Frame.store fr s (hold_last rt v)
           | Dropout_missing -> (
-              match v with
-              | Value.Float _ | Value.Int _ -> Some (Value.Float Float.nan)
-              | _ -> Some (hold_last rt v))
-          | Delay k -> Some (delayed k)
-          | Noise sigma -> Some (perturb v (sigma *. Prng.gaussian rt.gen))
+              match Cell.kind v with
+              | Cell.Float | Cell.Int ->
+                  Cell.set_float v Float.nan;
+                  Frame.store fr s v
+              | _ -> Frame.store fr s (hold_last rt v))
+          | Delay k -> Frame.store fr s (delayed rt k v)
+          | Noise sigma -> perturb fr s v (sigma *. Prng.gaussian rt.gen)
           | Drift rate ->
-              rt.drift <- rt.drift +. (rate *. dt);
-              Some (perturb v rt.drift)
-          | Spike (mag, rate) ->
-              if Prng.float rt.gen < rate *. dt then Some (perturb v mag)
-              else None
+              Float.Array.set rt.acc drift (Float.Array.get rt.acc drift +. (rate *. dt));
+              perturb fr s v (Float.Array.get rt.acc drift)
+          | Spike (mag, rate) -> if Prng.float rt.gen < rate *. dt then perturb fr s v mag
           | Intermittent period ->
-              rt.gate_left <- rt.gate_left -. dt;
-              if rt.gate_left <= 0. then begin
+              let left = Float.Array.get rt.acc gate_left -. dt in
+              Float.Array.set rt.acc gate_left left;
+              if left <= 0. then begin
                 rt.gate_passing <- not rt.gate_passing;
                 (* exponentially distributed gate duration, mean [period] *)
-                rt.gate_left <-
-                  -.period *. Float.log (Float.max (1. -. Prng.float rt.gen) 0x1p-53)
+                Float.Array.set rt.acc gate_left
+                  (-.period *. Float.log (Float.max (1. -. Prng.float rt.gen) 0x1p-53))
               end;
-              if rt.gate_passing then begin
-                rt.last <- Some v;
-                None
-              end
-              else Some (hold_last rt v)
-      in
-      match faulted with
-      | None -> state
-      | Some v' -> State.set rt.fault.target v' state
+              if rt.gate_passing then Cell.blit ~src:v ~dst:rt.last
+              else Frame.store fr s (hold_last rt v)

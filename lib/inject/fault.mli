@@ -41,9 +41,14 @@ val to_string : t -> string
 
 type runtime
 
-val runtime : seed:int -> t -> runtime
-(** Fresh per-run interposer state (delay line, PRNG, hold/drift/gate). *)
+val runtime : seed:int -> t -> Sim.Frame.binder -> runtime
+(** Fresh per-run interposer state (delay line, PRNG, hold/drift/gate),
+    bound to a world's slots: the target slot is looked up (never
+    created) and a [Stuck_at] constant interned. *)
 
-val apply : runtime -> dt:float -> now:float -> State.t -> State.t
-(** Interpose the fault on one freshly computed snapshot. A target absent
-    from the state is a no-op. *)
+val apply : runtime -> dt:float -> Sim.Frame.t -> unit
+(** Interpose the fault on the freshly computed snapshot — the frame's
+    next buffer — at the frame's current time. A target absent from the
+    world or from the snapshot is a no-op. A [Stuck_at] constant of
+    another type than the target's, or a NaN on an int target, changes
+    the cell's type. *)

@@ -16,14 +16,18 @@ let make ?(seed = 0) faults = { seed; faults }
 let empty = { seed = 0; faults = [] }
 let is_empty p = p.faults = []
 
-(** [interposer ~dt plan] — a stateful snapshot transform for one run.
-    Faults are applied in plan order; each owns a derived PRNG. *)
-let interposer ~dt plan =
+(** [interposer ~dt plan] — a stateful per-run interposer, two-phase like
+    a component: bound to a world's slots, it applies the faults in plan
+    order to every freshly computed snapshot; each owns a derived PRNG. *)
+let interposer ~dt plan b =
   let rts =
-    List.mapi (fun i f -> Fault.runtime ~seed:(Prng.derive plan.seed i) f) plan.faults
+    Array.of_list
+      (List.mapi (fun i f -> Fault.runtime ~seed:(Prng.derive plan.seed i) f b) plan.faults)
   in
-  fun ~now state ->
-    List.fold_left (fun st rt -> Fault.apply rt ~dt ~now st) state rts
+  fun fr ->
+    for k = 0 to Array.length rts - 1 do
+      Fault.apply rts.(k) ~dt fr
+    done
 
 let pp ppf p =
   Fmt.pf ppf "@[<h>seed=%d %a@]" p.seed

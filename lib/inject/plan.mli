@@ -10,9 +10,10 @@ val make : ?seed:int -> Fault.t list -> t
 val empty : t
 val is_empty : t -> bool
 
-val interposer : dt:float -> t -> now:float -> Tl.State.t -> Tl.State.t
-(** A stateful per-run snapshot transform; pass to [Sim.World.run
-    ~transform] (via [Vehicle.System.run ~interpose]). Fault [i] draws from
+val interposer : dt:float -> t -> Sim.Frame.binder -> Sim.Frame.t -> unit
+(** A stateful per-run interposer; pass to [Sim.World.run ~transform] (via
+    [Vehicle.System.run ~interpose]). Bound to the world's slots once, it
+    then rewrites the frame's next buffer every tick. Fault [i] draws from
     a private PRNG seeded [Prng.derive seed i]. *)
 
 val pp : Format.formatter -> t -> unit

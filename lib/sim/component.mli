@@ -1,37 +1,28 @@
 (** Simulation components: the agents of the simulated system.
 
-    Each component declares the state variables it directly controls (with
-    their initial values) and a step function computing the next values of
-    those variables from the {e previous} snapshot. The kernel is double
-    buffered, so a component can never observe another component's output
-    before the subsequent state — the thesis's core timing assumption
-    (§4.1.3). *)
+    A component is two-phase. It declares the state variables it directly
+    controls, with their initial values, and a bind function. When the
+    world is assembled ({!World.make}), the bind function resolves every
+    name the component reads or writes to a typed slot handle
+    ({!Frame.Bind}) and returns the step run at every tick. The step
+    reads the {e previous} snapshot and writes the next one through those
+    handles ({!Frame}): no name lookup and, for float, bool and symbol
+    cells, no allocation. The kernel is double buffered, so a component
+    can never observe another component's output before the subsequent
+    state — the thesis's core timing assumption (§4.1.3). *)
 
 open Tl
-
-type context = {
-  now : float;  (** simulation time of the state being computed *)
-  dt : float;
-  state : State.t;  (** the previous snapshot *)
-}
-
-val read : context -> string -> Value.t
-val read_float : context -> string -> float
-val read_bool : context -> string -> bool
-val read_sym : context -> string -> string
 
 type t = {
   name : string;
   outputs : (string * Value.t) list;
       (** directly controlled variables, with initial values *)
-  step : context -> (string * Value.t) list;
+  bind : Frame.binder -> Frame.t -> unit;
+      (** resolve names once; the returned step runs every tick *)
 }
 
 val make :
-  name:string ->
-  outputs:(string * Value.t) list ->
-  (context -> (string * Value.t) list) ->
-  t
+  name:string -> outputs:(string * Value.t) list -> (Frame.binder -> Frame.t -> unit) -> t
 
 val constant : name:string -> (string * Value.t) list -> t
 (** A component with no behaviour: holds constants (useful for parameters

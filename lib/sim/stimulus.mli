@@ -14,8 +14,9 @@ val release : float -> string -> event
 val component : name:string -> init:(string * Value.t) list -> event list -> Component.t
 (** A component that owns the scripted variables: each takes its initial
     value until an event fires, then holds the event value (later events
-    override earlier ones). Events need not be sorted. The component is
-    stateful: build a fresh one per run. *)
+    override earlier ones). Events need not be sorted; an event whose time
+    is NaN never fires. The bound step is stateful: build a fresh
+    component per run. *)
 
 val signal : name:string -> var:string -> (float -> float) -> Component.t
 (** A float signal driven by a function of time (e.g. a lead vehicle's

@@ -1,8 +1,11 @@
 (** The simulation kernel: synchronous, discrete-time, double-buffered.
 
-    At each tick every component reads the snapshot of tick [i−1] and writes
-    its outputs into the snapshot of tick [i]; variables not written keep
-    their previous values. The recorded trace therefore has exactly the
+    [make] resolves every signal name to a slot once and binds every
+    component's step. At each tick the kernel copies the snapshot of tick
+    [i−1] ([prev]) into the buffer of tick [i] ([next]), every component
+    reads [prev] and writes [next], an optional interposer rewrites
+    [next], and the two buffers swap. Variables not written keep their
+    previous values. The recorded trace therefore has exactly the
     one-state observation delay assumed by the thesis's goal semantics. *)
 
 open Tl
@@ -12,7 +15,15 @@ exception Conflict of string
     relaxes KAOS's strict single-controller rule (§4.2), so conflicts are
     only rejected when [check_conflicts] is requested. *)
 
-type t = { dt : float; components : Component.t list; initial : State.t }
+type t = {
+  dt : float;
+  binder : Frame.binder;
+  initial : (Value.t Frame.slot * Value.t) list;  (* in declaration order *)
+  steps : (Frame.t -> unit) array;
+}
+
+let runs = Obs.Metrics.counter "sim.runs"
+let steps_counter = Obs.Metrics.counter "sim.steps"
 
 let make ?(check_conflicts = true) ?(extra_init = []) ~dt components =
   if check_conflicts then begin
@@ -31,50 +42,54 @@ let make ?(check_conflicts = true) ?(extra_init = []) ~dt components =
           (Component.controlled c))
       components
   end;
+  let binder = Frame.binder ~dt in
+  (* Later declarations of a variable override earlier ones. *)
   let initial =
-    State.of_list
+    List.map
+      (fun (v, x) -> (Frame.Bind.value binder v, x))
       (extra_init @ List.concat_map (fun c -> c.Component.outputs) components)
   in
-  { dt; components; initial }
-
-(** [step world now prev] — compute the snapshot at time [now] from the
-    previous snapshot. *)
-let step world now prev =
-  let ctx = { Component.now; dt = world.dt; state = prev } in
-  List.fold_left
-    (fun next c -> State.update (c.Component.step ctx) next)
-    prev world.components
+  let steps = Array.of_list (List.map (fun c -> c.Component.bind binder) components) in
+  { dt; binder; initial; steps }
 
 (** [run world ~until ?stop ?transform ()] — simulate from time 0 to
     [until] seconds, recording every snapshot (the initial state is state 0
-    at time 0). [stop] terminates the run early when it returns true on a
-    freshly computed snapshot (the thesis's runs end early on collision);
-    the terminating snapshot is included.
+    at time 0). [stop] and [transform] are bound against the world's slots
+    before the first tick. [stop] terminates the run early when it returns
+    true on a freshly computed snapshot, read as the frame's previous
+    snapshot (the thesis's runs end early on collision); the terminating
+    snapshot is included.
 
-    [transform] interposes on every freshly computed snapshot before it is
-    recorded or tested by [stop] — the hook behind runtime fault injection
-    ({!Inject}): because the kernel is double buffered, an interposed value
-    is exactly what every component and monitor observes on the following
-    tick. The initial state is not transformed (no component has produced
-    an output yet). *)
+    [transform] interposes on every freshly computed snapshot, in the
+    frame's next buffer, before it is recorded or tested by [stop] — the
+    hook behind runtime fault injection ({!Inject}): because the kernel is
+    double buffered, an interposed value is exactly what every component
+    and monitor observes on the following tick. The initial state is not
+    transformed (no component has produced an output yet). *)
 let run ?stop ?transform ~until world : Trace.t =
   let n_max = int_of_float (Float.ceil (until /. world.dt)) in
-  (* Snapshots stream straight into typed trace columns: the run never
-     retains one [State.t] map per tick. *)
-  let buf = Trace.Builder.create ~hint:(n_max + 1) ~dt:world.dt () in
-  Trace.Builder.add buf world.initial;
-  let apply now next =
-    match transform with None -> next | Some f -> f ~now next
+  let stop = Option.map (fun f -> f world.binder) stop in
+  let transform = Option.map (fun f -> f world.binder) transform in
+  let fr = Frame.create world.binder in
+  List.iter (fun (s, v) -> Frame.set_value fr s v) world.initial;
+  Frame.swap fr;
+  let r = Frame.recorder fr ~hint:(n_max + 1) in
+  Frame.record r fr;
+  let steps = world.steps in
+  let rec go i =
+    if i > n_max then i - 1
+    else begin
+      Frame.begin_tick fr i;
+      for k = 0 to Array.length steps - 1 do
+        steps.(k) fr
+      done;
+      (match transform with None -> () | Some f -> f fr);
+      Frame.swap fr;
+      Frame.record r fr;
+      match stop with Some f when f fr -> i | _ -> go (i + 1)
+    end
   in
-  let rec go i prev =
-    if i > n_max then ()
-    else
-      let now = float_of_int i *. world.dt in
-      let next = apply now (step world now prev) in
-      Trace.Builder.add buf next;
-      match stop with
-      | Some f when f next -> ()
-      | _ -> go (i + 1) next
-  in
-  go 1 world.initial;
-  Trace.Builder.finish buf
+  let ticks = go 1 in
+  Obs.Metrics.incr runs;
+  Obs.Metrics.incr ~by:(ticks + 1) steps_counter;
+  Frame.finish r

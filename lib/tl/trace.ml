@@ -104,30 +104,30 @@ module Builder = struct
      the first type conflict, so [finish] emits the canonical column kind
      for the cells actually seen. *)
   type store =
+    | GE  (* opened, no cell written yet *)
     | GF of floatarray
     | GI of int array
     | GB of Bytes.t
     | GS of {
-        mutable values : Value.t array;  (* Sym intern table *)
+        mutable gids : int array;  (* local id -> builder symbol id *)
         mutable nvalues : int;
-        tbl : (string, int) Hashtbl.t;
+        mutable local : int array;  (* builder symbol id -> local id + 1 *)
         ids : Bytes.t;
       }
     | GV of Value.t array
 
-  type bcolumn = {
-    cname : string;
-    mutable store : store;
-    mutable pres : Bytes.t;  (* 0/1 per row, sized like the stores *)
-    mutable last : int;  (* last row this column was written at *)
-  }
+  (* Invariant: [pres] and a non-[GE] store always have the same length. *)
+  type column = { cname : string; mutable store : store; mutable pres : Bytes.t }
 
   type b = {
     bdt : float;
-    mutable rows : int;
+    mutable rows : int;  (* the row being written *)
     mutable cap : int;
-    mutable bcols : bcolumn list;  (* creation order; sorted at finish *)
-    index : (string, bcolumn) Hashtbl.t;
+    mutable bcols : column list;  (* creation order; sorted at finish *)
+    index : (string, column) Hashtbl.t;
+    syms : (string, int) Hashtbl.t;  (* symbol intern table *)
+    mutable sym_names : string array;
+    mutable nsyms : int;
   }
 
   let create ?(hint = 1024) ~dt () =
@@ -138,11 +138,41 @@ module Builder = struct
       cap = max 16 hint;
       bcols = [];
       index = Hashtbl.create 64;
+      syms = Hashtbl.create 16;
+      sym_names = Array.make 16 "";
+      nsyms = 0;
     }
 
   let length b = b.rows
 
+  let column b name =
+    match Hashtbl.find_opt b.index name with
+    | Some c -> c
+    | None ->
+        let c = { cname = name; store = GE; pres = Bytes.empty } in
+        Hashtbl.add b.index name c;
+        b.bcols <- c :: b.bcols;
+        c
+
+  let symbol b s =
+    match Hashtbl.find_opt b.syms s with
+    | Some id -> id
+    | None ->
+        let id = b.nsyms in
+        if id >= Array.length b.sym_names then begin
+          let a = Array.make (2 * id) "" in
+          Array.blit b.sym_names 0 a 0 id;
+          b.sym_names <- a
+        end;
+        b.sym_names.(id) <- s;
+        b.nsyms <- id + 1;
+        Hashtbl.add b.syms s id;
+        id
+
+  let sym_value b id = Value.Sym b.sym_names.(id)
+
   let grow_store cap = function
+    | GE -> GE
     | GF a ->
         let a' = Float.Array.make cap 0. in
         Float.Array.blit a 0 a' 0 (Float.Array.length a);
@@ -164,136 +194,175 @@ module Builder = struct
         Array.blit a 0 a' 0 (Array.length a);
         GV a'
 
+  (* Grow the store and presence bytes of [c] to the builder's capacity. *)
   let ensure b c =
-    match c.store with
-    | GF a when Float.Array.length a < b.cap -> c.store <- grow_store b.cap c.store
-    | GI a when Array.length a < b.cap -> c.store <- grow_store b.cap c.store
-    | GB s when Bytes.length s < b.cap -> c.store <- grow_store b.cap c.store
-    | GS { ids; _ } when Bytes.length ids < b.cap ->
-        c.store <- grow_store b.cap c.store
-    | GV a when Array.length a < b.cap -> c.store <- grow_store b.cap c.store
-    | _ -> ()
-
-  let ensure_pres b c =
     if Bytes.length c.pres < b.cap then begin
       let p = Bytes.make b.cap '\000' in
       Bytes.blit c.pres 0 p 0 (Bytes.length c.pres);
-      c.pres <- p
+      c.pres <- p;
+      c.store <- grow_store b.cap c.store
     end
 
   (* Rebuild the first [n] cells of a store as exact values — the promotion
      path when a column stops being monomorphic. Only present cells are ever
      read back, so reconstructing padding cells as typed zeros is sound. *)
-  let promote cap n = function
-    | GF a -> Array.init cap (fun i -> if i < n then Value.Float (Float.Array.get a i) else vfalse)
-    | GI a -> Array.init cap (fun i -> if i < n then Value.Int a.(i) else vfalse)
+  let promote b n = function
+    | GE -> Array.make b.cap vfalse
+    | GF a -> Array.init b.cap (fun i -> if i < n then Value.Float (Float.Array.get a i) else vfalse)
+    | GI a -> Array.init b.cap (fun i -> if i < n then Value.Int a.(i) else vfalse)
     | GB s ->
-        Array.init cap (fun i ->
+        Array.init b.cap (fun i ->
             if i < n then if Bytes.get s i = '\001' then vtrue else vfalse
             else vfalse)
-    | GS { values; ids; _ } ->
-        Array.init cap (fun i ->
-            if i < n then values.(Char.code (Bytes.get ids i)) else vfalse)
-    | GV a -> Array.init cap (fun i -> if i < Array.length a && i < n then a.(i) else vfalse)
+    | GS { gids; ids; _ } ->
+        Array.init b.cap (fun i ->
+            if i < n then sym_value b gids.(Char.code (Bytes.get ids i)) else vfalse)
+    | GV a -> a
 
-  let fresh_store cap (v : Value.t) =
+  (* The first cell of a column: a store of the value's own kind, padding
+     (zeros, absent) before the current row. *)
+  let fresh_store b row (v : Value.t) =
+    let cap = b.cap in
     match v with
     | Value.Float f ->
         let a = Float.Array.make cap 0. in
-        Float.Array.set a 0 f;
+        Float.Array.set a row f;
         GF a
     | Value.Int i ->
         let a = Array.make cap 0 in
-        a.(0) <- i;
+        a.(row) <- i;
         GI a
     | Value.Bool bv ->
         let s = Bytes.make cap '\000' in
-        if bv then Bytes.set s 0 '\001';
+        if bv then Bytes.set s row '\001';
         GB s
     | Value.Sym s ->
-        let tbl = Hashtbl.create 8 in
-        Hashtbl.add tbl s 0;
-        GS { values = Array.make 8 (Value.Sym s); nvalues = 1; tbl; ids = Bytes.make cap '\000' }
+        let id = symbol b s in
+        let local = Array.make (max 8 (id + 1)) 0 in
+        local.(id) <- 1;
+        GS { gids = Array.make 8 id; nvalues = 1; local; ids = Bytes.make cap '\000' }
 
-  (* The fresh store writes row 0; shift the first value to [row] when the
-     column first appears later in the trace. *)
-  let fresh_store_at cap row v =
-    let s = fresh_store cap v in
-    if row > 0 then begin
-      (match (s, v) with
-      | GF a, Value.Float f ->
-          Float.Array.set a 0 0.;
-          Float.Array.set a row f
-      | GI a, Value.Int i ->
-          a.(0) <- 0;
-          a.(row) <- i
-      | GB b, Value.Bool bv ->
-          Bytes.set b 0 '\000';
-          if bv then Bytes.set b row '\001'
-      | GS g, Value.Sym _ -> Bytes.set g.ids row '\000'
-      | _ -> assert false);
-      ()
-    end;
-    s
+  (* The local id of builder symbol [id] in a symbol store, interning it
+     on first sight; [-1] when the column's 256-entry table is full. *)
+  let local_id (g : store) id =
+    match g with
+    | GS g ->
+        if id < Array.length g.local && g.local.(id) > 0 then g.local.(id) - 1
+        else if g.nvalues >= 256 then -1
+        else begin
+          if id >= Array.length g.local then begin
+            let l = Array.make (max (id + 1) (2 * Array.length g.local)) 0 in
+            Array.blit g.local 0 l 0 (Array.length g.local);
+            g.local <- l
+          end;
+          let k = g.nvalues in
+          if k >= Array.length g.gids then begin
+            let a = Array.make (2 * k) 0 in
+            Array.blit g.gids 0 a 0 k;
+            g.gids <- a
+          end;
+          g.gids.(k) <- id;
+          g.nvalues <- k + 1;
+          g.local.(id) <- k + 1;
+          k
+        end
+    | _ -> -1
 
-  let write b c row (v : Value.t) =
+  (* The general write: any value into any store, opening, interning and
+     promoting as needed. *)
+  let write b c (v : Value.t) =
+    let row = b.rows in
     ensure b c;
-    ensure_pres b c;
     (match (c.store, v) with
+    | GE, v -> c.store <- fresh_store b row v
     | GF a, Value.Float f -> Float.Array.set a row f
     | GI a, Value.Int i -> a.(row) <- i
     | GB s, Value.Bool bv -> Bytes.set s row (if bv then '\001' else '\000')
-    | GS g, Value.Sym s -> (
-        match Hashtbl.find_opt g.tbl s with
-        | Some id -> Bytes.set g.ids row (Char.chr id)
-        | None when g.nvalues < 256 ->
-            let id = g.nvalues in
-            if id >= Array.length g.values then begin
-              let values = Array.make (2 * Array.length g.values) v in
-              Array.blit g.values 0 values 0 g.nvalues;
-              g.values <- values
-            end;
-            g.values.(id) <- v;
-            g.nvalues <- id + 1;
-            Hashtbl.add g.tbl s id;
-            Bytes.set g.ids row (Char.chr id)
-        | None ->
-            (* intern table overflow: fall back to exact storage *)
-            let a = promote b.cap row c.store in
-            a.(row) <- v;
-            c.store <- GV a)
+    | (GS g as st), Value.Sym s ->
+        let k = local_id st (symbol b s) in
+        if k >= 0 then Bytes.set g.ids row (Char.chr k)
+        else begin
+          (* intern table overflow: fall back to exact storage *)
+          let a = promote b row st in
+          a.(row) <- v;
+          c.store <- GV a
+        end
     | GV a, v -> a.(row) <- v
     | store, v ->
-        let a = promote b.cap row store in
+        let a = promote b row store in
         a.(row) <- v;
         c.store <- GV a);
-    Bytes.set c.pres row '\001';
-    c.last <- row
+    Bytes.set c.pres row '\001'
+
+  (* Typed writes of the current row: an in-place store when the column's
+     kind matches, the general path otherwise. *)
+  let[@inline] float b c f =
+    match c.store with
+    | GF a when b.rows < Float.Array.length a ->
+        Float.Array.unsafe_set a b.rows f;
+        Bytes.unsafe_set c.pres b.rows '\001'
+    | _ -> write b c (Value.Float f)
+
+  let[@inline] int b c i =
+    match c.store with
+    | GI a when b.rows < Array.length a ->
+        Array.unsafe_set a b.rows i;
+        Bytes.unsafe_set c.pres b.rows '\001'
+    | _ -> write b c (Value.Int i)
+
+  let[@inline] bool b c v =
+    match c.store with
+    | GB s when b.rows < Bytes.length s ->
+        Bytes.unsafe_set s b.rows (if v then '\001' else '\000');
+        Bytes.unsafe_set c.pres b.rows '\001'
+    | _ -> write b c (if v then vtrue else vfalse)
+
+  let[@inline] sym b c id =
+    match c.store with
+    | GS g when b.rows < Bytes.length g.ids && id < Array.length g.local && g.local.(id) > 0 ->
+        Bytes.unsafe_set g.ids b.rows (Char.unsafe_chr (g.local.(id) - 1));
+        Bytes.unsafe_set c.pres b.rows '\001'
+    | _ -> write b c (sym_value b id)
+
+  let value b c (v : Value.t) =
+    match v with
+    | Value.Float f -> float b c f
+    | Value.Int i -> int b c i
+    | Value.Bool x -> bool b c x
+    | Value.Sym s -> sym b c (symbol b s)
+
+  let end_row b =
+    b.rows <- b.rows + 1;
+    if b.rows >= b.cap then b.cap <- b.cap * 2
+
+  let add_slots b cols ~tags ~floats ~ints ~symbols =
+    for s = 0 to Array.length cols - 1 do
+      match Bytes.unsafe_get tags s with
+      | '\001' -> float b cols.(s) (Float.Array.unsafe_get floats s)
+      | '\002' -> int b cols.(s) (Array.unsafe_get ints s)
+      | '\003' -> bool b cols.(s) (Array.unsafe_get ints s <> 0)
+      | '\004' -> sym b cols.(s) symbols.(Array.unsafe_get ints s)
+      | _ -> ()
+    done;
+    end_row b
 
   let add b (st : State.t) =
-    let row = b.rows in
-    if row >= b.cap then b.cap <- b.cap * 2;
-    State.iter
-      (fun name v ->
-        match Hashtbl.find_opt b.index name with
-        | Some c -> write b c row v
-        | None ->
-            let c =
-              {
-                cname = name;
-                store = fresh_store_at b.cap row v;
-                pres = Bytes.make b.cap '\000';
-                last = row;
-              }
-            in
-            Bytes.set c.pres row '\001';
-            Hashtbl.add b.index name c;
-            b.bcols <- c :: b.bcols)
-      st;
+    State.iter (fun name v -> value b (column b name) v) st;
     (* Columns absent from this state keep pad cells; their presence byte
        stays 0 (the pres array is grown lazily on the next write, and
        [finish] treats missing tail bytes as absent). *)
-    b.rows <- row + 1
+    end_row b
+
+  (* Mixed-type cells are rebuilt canonically — a fresh block per cell,
+     the two shared booleans, one string per symbol — so that how the
+     cells were produced (a held value's block shared across states, say)
+     never shows in the marshalled bytes. *)
+  let canonical b (v : Value.t) =
+    match v with
+    | Value.Float f -> Value.Float f
+    | Value.Int i -> Value.Int i
+    | Value.Bool x -> if x then vtrue else vfalse
+    | Value.Sym s -> sym_value b (symbol b s)
 
   let finish b : t =
     let len = b.rows in
@@ -305,26 +374,33 @@ module Builder = struct
     let trim_pres c =
       (* All-present columns collapse to [None]; otherwise emit the first
          [len] presence bytes (absent tail bytes included). *)
-      let p = Bytes.make len '\000' in
-      let have = min len (Bytes.length c.pres) in
-      Bytes.blit c.pres 0 p 0 have;
+      let p = Bytes.sub c.pres 0 len in
       let all = ref true in
       for i = 0 to len - 1 do
-        if Bytes.get p i <> '\001' then all := false
+        if Bytes.unsafe_get p i <> '\001' then all := false
       done;
       if !all then None else Some p
     in
     let trim_col c =
       match c.store with
+      | GE -> assert false
       | GF a -> FCol (Float.Array.sub a 0 len)
       | GI a -> ICol (Array.sub a 0 len)
       | GB s -> BCol (Bytes.sub s 0 len)
       | GS g ->
-          SCol { values = Array.sub g.values 0 g.nvalues; ids = Bytes.sub g.ids 0 len }
-      | GV a -> VCol (Array.sub a 0 len)
+          SCol
+            {
+              values = Array.init g.nvalues (fun k -> sym_value b g.gids.(k));
+              ids = Bytes.sub g.ids 0 len;
+            }
+      | GV a ->
+          VCol
+            (Array.init len (fun i ->
+                 if Bytes.get c.pres i = '\001' then canonical b a.(i) else vfalse))
     in
     let cols =
-      List.map (fun c -> { name = c.cname; col = trim_col c; presence = trim_pres c }) b.bcols
+      List.filter (fun c -> match c.store with GE -> false | _ -> true) b.bcols
+      |> List.map (fun c -> { name = c.cname; col = trim_col c; presence = trim_pres c })
       |> List.sort (fun a b -> String.compare a.name b.name)
       |> Array.of_list
     in

@@ -78,12 +78,18 @@ val approx_bytes : t -> int
 
 (** {1 Incremental construction}
 
-    The allocation-friendly way to record a simulation: append snapshots
-    as they are computed — cells go straight into typed columns, so the
-    run never retains one map per tick. *)
+    The allocation-friendly way to record a simulation: append rows as
+    they are computed — cells go straight into typed columns, so the run
+    never retains one map per tick. Rows are written either whole, from a
+    [State.t] ({!Builder.add}), or cell by cell through column handles
+    resolved once ({!Builder.column}), ending each row with
+    {!Builder.end_row}. Both paths build the same canonical columns. *)
 
 module Builder : sig
   type b
+
+  type column
+  (** A handle on one variable's column. *)
 
   val create : ?hint:int -> dt:float -> unit -> b
   (** [hint] — expected number of states (the initial column capacity).
@@ -94,6 +100,48 @@ module Builder : sig
       (absent in all earlier states); variables missing from this state
       are recorded as absent. *)
 
+  val column : b -> string -> column
+  (** The column of a variable, opened on first request. A column in
+      which no cell is ever written is left out of the trace. *)
+
+  val symbol : b -> string -> int
+  (** The builder's id of a symbol, interned on first sight; the trace
+      keeps one string per symbol. *)
+
+  (** Writes of one cell of the row being built. A cell not written in a
+      row is absent there. The typed writes store in place when the
+      column already holds that kind, and open, intern or promote the
+      column (to {!VCol}) otherwise. *)
+
+  val float : b -> column -> float -> unit
+  val int : b -> column -> int -> unit
+  val bool : b -> column -> bool -> unit
+
+  val sym : b -> column -> int -> unit
+  (** A symbol, by its {!symbol} id. *)
+
+  val value : b -> column -> Value.t -> unit
+
+  val end_row : b -> unit
+  (** Close the row being built; the next writes go to a new row. *)
+
+  val add_slots :
+    b ->
+    column array ->
+    tags:Bytes.t ->
+    floats:floatarray ->
+    ints:int array ->
+    symbols:int array ->
+    unit
+  (** Append one row from a slot-indexed typed buffer, slot [s] going to
+      column [s]: by [tags.[s]], absent (['\000']), the float
+      [floats.(s)] (['\001']), the int [ints.(s)] (['\002']), the bool
+      [ints.(s) <> 0] (['\003']) or the symbol [symbols.(ints.(s))]
+      (['\004']). Allocation-free when every column already holds its
+      cell's kind. *)
+
   val length : b -> int
+  (** Rows closed so far. *)
+
   val finish : b -> t
 end

@@ -23,6 +23,12 @@
 
 open Tl
 open Signals
+module F = Sim.Frame
+
+(* Float reads and writes of the frame, defined here so that they inline
+   (see [Sim.Frame.floats]). *)
+let[@inline] float fr s = Float.Array.unsafe_get (F.floats fr s) (s :> int)
+let[@inline] set_float fr s x = Float.Array.unsafe_set (F.set_floats fr s) (s :> int) x
 
 let accel_priority = [ "CA"; "RCA"; "PA"; "LCA"; "ACC" ]
 
@@ -42,38 +48,70 @@ let default_timing =
     latch_time = 0.15;
   }
 
+(* Features are numbered by their position in [Signals.features]; the
+   driver is [driver]. *)
+let driver = -1
+
+let feature_index f =
+  let rec go k = function
+    | [] -> invalid_arg ("Arbiter: unknown feature " ^ f)
+    | g :: _ when g = f -> k
+    | _ :: rest -> go (k + 1) rest
+  in
+  go 0 features
+
+let n_features = List.length features
+let priority = Array.of_list (List.map feature_index accel_priority)
+let priority_reversed = Array.of_list (List.rev_map feature_index accel_priority)
+let lca = feature_index "LCA"
+let acc = feature_index "ACC"
+let pa = feature_index "PA"
+
 type state = {
-  mutable cur : string;  (** current acceleration source: feature or "Driver" *)
-  mutable pend : string option;
-  mutable pend_t : float;
-  mutable override_t : float;
-  mutable blocked : (string, unit) Hashtbl.t;  (** overridden while pedals applied *)
-  mutable was_overridden : (string, unit) Hashtbl.t;
-  mutable latch : (string * float) list;  (** (feature, time left) selected latches *)
-  mutable last_cmd : float;
-  mutable last_steer : float;
+  mutable cur : int;  (** current acceleration source: a feature or [driver] *)
+  mutable pend : int;  (** pending candidate, or [driver] for none *)
+  times : floatarray;  (** [| pend_t; override_t; last_steer |] *)
+  blocked : bool array;  (** overridden while pedals applied *)
+  was_overridden : bool array;
+  latched : bool array;  (** 'selected' latches *)
+  latch_left : floatarray;  (** time left on each latch *)
 }
+
+let pend_t = 0
+let override_t = 1
+let last_steer = 2
 
 let fresh () =
   {
-    cur = "Driver";
-    pend = None;
-    pend_t = 0.;
-    override_t = 0.;
-    blocked = Hashtbl.create 4;
-    was_overridden = Hashtbl.create 4;
-    latch = [];
-    last_cmd = 0.;
-    last_steer = 0.;
+    cur = driver;
+    pend = driver;
+    times = Float.Array.make 3 0.;
+    blocked = Array.make n_features false;
+    was_overridden = Array.make n_features false;
+    latched = Array.make n_features false;
+    latch_left = Float.Array.make n_features 0.;
   }
 
-let hard_stop_request ~v request =
+let[@inline] hard_stop_request ~v request =
   (* an emergency stop the driver may not override (§5.2.3) *)
   if v >= 0. then request < hard_brake else request > -.hard_brake
 
+(* The slots of one feature's outputs, by feature number. *)
+type feature_slots = {
+  active_s : bool F.slot array;
+  req_accel_s : bool F.slot array;
+  accel_req_s : float F.slot array;
+  req_steer_s : bool F.slot array;
+  steer_req_s : float F.slot array;
+}
+
+let[@inline] requesting fs fr f = F.bool fr fs.active_s.(f) && F.bool fr fs.req_accel_s.(f)
+let[@inline] steering fs fr f = F.bool fr fs.active_s.(f) && F.bool fr fs.req_steer_s.(f)
+
+let add st k d = Float.Array.set st.times k (Float.Array.get st.times k +. d)
+
 let component ?(timing = default_timing) (defects : Defects.t) =
   let { select_debounce; reselect_debounce; override_debounce; latch_time } = timing in
-  let st = fresh () in
   Sim.Component.make ~name:"Arbiter"
     ~outputs:
       ([
@@ -86,178 +124,214 @@ let component ?(timing = default_timing) (defects : Defects.t) =
          (driver_selected, Value.Bool true);
        ]
       @ List.map (fun f -> (selected f, Value.Bool false)) features)
-    (fun ctx ->
-      let open Sim.Component in
-      let dt = ctx.dt in
-      let v = read_float ctx host_speed in
-      let throttle = read_float ctx throttle_pedal in
-      let brake = read_float ctx brake_pedal in
-      let pedals = throttle > 0.05 || brake > 0.05 in
-      let req_of f = read_float ctx (accel_req f) in
-      let requesting f = read_bool ctx (active f) && read_bool ctx (req_accel f) in
-      if not pedals then Hashtbl.reset st.blocked;
-      (* --- acceleration arbitration --- *)
-      let candidates = List.filter requesting accel_priority in
-      let top = match candidates with [] -> None | f :: _ -> Some f in
-      (* override evaluation of the currently selected feature *)
-      (match st.cur with
-      | "Driver" -> st.override_t <- 0.
-      | f ->
-          if requesting f then begin
-            if pedals && not (hard_stop_request ~v (req_of f)) then begin
-              st.override_t <- st.override_t +. dt;
-              if st.override_t >= override_debounce then begin
-                st.cur <- "Driver";
-                Hashtbl.replace st.blocked f ();
-                Hashtbl.replace st.was_overridden f ();
-                st.override_t <- 0.
-              end
-            end
-            else st.override_t <- 0.
+    (fun b ->
+      let dt = F.Bind.dt b in
+      let per mk slot = Array.of_list (List.map (fun f -> slot b (mk f)) features) in
+      let fs =
+        {
+          active_s = per active F.Bind.bool;
+          req_accel_s = per req_accel F.Bind.bool;
+          accel_req_s = per accel_req F.Bind.float;
+          req_steer_s = per req_steer F.Bind.bool;
+          steer_req_s = per steer_req F.Bind.float;
+        }
+      in
+      let selected_s = per selected F.Bind.bool in
+      let speed_s = F.Bind.float b host_speed
+      and throttle_s = F.Bind.float b throttle_pedal
+      and brake_s = F.Bind.float b brake_pedal
+      and gear_s = F.Bind.sym b gear
+      and wheel_s = F.Bind.bool b steering_wheel_active
+      and engage_acc_s = F.Bind.bool b (engage_request "ACC")
+      and enabled_acc_s = F.Bind.bool b (enabled "ACC")
+      and accel_cmd_s = F.Bind.float b accel_cmd
+      and accel_source_s = F.Bind.sym b accel_source
+      and va_source_s = F.Bind.sym b va_source
+      and steer_cmd_s = F.Bind.float b steer_cmd
+      and steer_source_s = F.Bind.sym b steer_source
+      and vst_source_s = F.Bind.sym b vst_source
+      and driver_selected_s = F.Bind.bool b driver_selected in
+      let reverse = F.Bind.symbol b "R" in
+      let driver_sym = F.Bind.symbol b "Driver" in
+      let feature_syms = Array.of_list (List.map (F.Bind.symbol b) features) in
+      let source_sym k = if k = driver then driver_sym else feature_syms.(k) in
+      let st = fresh () in
+      fun fr ->
+        let v = float fr speed_s in
+        let throttle = float fr throttle_s in
+        let brake = float fr brake_s in
+        let pedals = throttle > 0.05 || brake > 0.05 in
+        if not pedals then Array.fill st.blocked 0 n_features false;
+        (* --- acceleration arbitration: the first requesting feature in
+           priority order (every feature's request flags are read) --- *)
+        let top = ref driver in
+        for k = 0 to Array.length priority - 1 do
+          let f = priority.(k) in
+          if requesting fs fr f && !top = driver then top := f
+        done;
+        let top = !top in
+        (* override evaluation of the currently selected feature *)
+        (if st.cur = driver then Float.Array.set st.times override_t 0.
+         else
+           let f = st.cur in
+           if requesting fs fr f then begin
+             if pedals && not (hard_stop_request ~v (float fr fs.accel_req_s.(f))) then begin
+               add st override_t dt;
+               if Float.Array.get st.times override_t >= override_debounce then begin
+                 st.cur <- driver;
+                 st.blocked.(f) <- true;
+                 st.was_overridden.(f) <- true;
+                 Float.Array.set st.times override_t 0.
+               end
+             end
+             else Float.Array.set st.times override_t 0.
+           end
+           else begin
+             (* the feature withdrew: fall back immediately *)
+             st.cur <- driver;
+             Float.Array.set st.times override_t 0.
+           end);
+        (* selection of a new source. The repaired arbiter refuses to
+           select a feature while the pedals are applied unless it is
+           demanding an emergency stop; the evaluated arbiter checks the
+           pedals only after selection, via the override logic. An
+           overridden feature stays blocked while the pedals are applied —
+           but an emergency stop request is never blocked (§5.2.3). *)
+        (if
+           top <> driver
+           && st.cur = driver
+           && (not
+                 (st.blocked.(top) && pedals
+                 && not (hard_stop_request ~v (float fr fs.accel_req_s.(top)))))
+           && (defects.Defects.arbiter_selects_under_pedals || (not pedals)
+              || hard_stop_request ~v (float fr fs.accel_req_s.(top)))
+         then begin
+           if top = lca then st.cur <- top (* defect-adjacent: LCA bypasses the debounce *)
+           else begin
+             let threshold =
+               if st.was_overridden.(top) then reselect_debounce else select_debounce
+             in
+             if st.pend = top then add st pend_t dt
+             else begin
+               st.pend <- top;
+               Float.Array.set st.times pend_t dt
+             end;
+             if Float.Array.get st.times pend_t >= threshold then begin
+               st.cur <- top;
+               st.pend <- driver;
+               Float.Array.set st.times pend_t 0.
+             end
+           end
+         end
+         else if top <> driver && st.cur <> driver && top <> st.cur then begin
+           (* a higher-priority feature preempts after the debounce *)
+           if st.pend = top then add st pend_t dt
+           else begin
+             st.pend <- top;
+             Float.Array.set st.times pend_t dt
+           end;
+           if Float.Array.get st.times pend_t >= select_debounce then begin
+             st.cur <- top;
+             st.pend <- driver;
+             Float.Array.set st.times pend_t 0.
+           end
+         end
+         else begin
+           st.pend <- driver;
+           Float.Array.set st.times pend_t 0.
+         end);
+        (* driver demand *)
+        let driver_demand =
+          if brake > 0.05 then
+            if v > 0.01 then -7. *. brake else if v < -0.01 then 7. *. brake else 0.
+          else
+            let dir = if F.sym fr gear_s = reverse then -1. else 1. in
+            dir *. 2.5 *. throttle
+        in
+        let cmd = if st.cur = driver then driver_demand else float fr fs.accel_req_s.(st.cur) in
+        (* --- steering arbitration (every feature's flags are read) --- *)
+        let order =
+          if defects.Defects.arbiter_steering_priority_reversed then priority_reversed
+          else priority
+        in
+        let steer_top = ref driver in
+        for k = 0 to Array.length order - 1 do
+          let f = order.(k) in
+          if steering fs fr f && !steer_top = driver then steer_top := f
+        done;
+        let wheel = F.bool fr wheel_s in
+        let steer_winner = if wheel then driver else !steer_top in
+        let s_cmd =
+          if steer_winner = driver then Float.Array.get st.times last_steer
+          else if steer_winner = lca && defects.Defects.lca_steering_ignored then
+            Float.Array.get st.times last_steer
+          else float fr fs.steer_req_s.(steer_winner)
+        in
+        let s_src = steer_winner in
+        Float.Array.set st.times last_steer s_cmd;
+        (* Defect: the steering stage determines which acceleration request
+           value is passed along (§5.4.2). *)
+        let cmd =
+          if
+            steer_winner <> driver
+            && defects.Defects.arbiter_steering_priority_reversed
+            && st.cur <> driver
+          then float fr fs.accel_req_s.(steer_winner)
+          else cmd
+        in
+        (* Defect: wrong slot routed when PA is the acceleration source. *)
+        let cmd =
+          if st.cur = pa && defects.Defects.pa_command_mismatch then
+            float fr fs.steer_req_s.(pa)
+          else cmd
+        in
+        (* --- selected flags, with the latch defect --- *)
+        for f = 0 to n_features - 1 do
+          let selected_now =
+            st.cur = f || s_src = f
+            || (defects.Defects.arbiter_dual_selected && f = acc && st.cur = lca)
+            (* Defect: the HMI engage request drives the 'selected'
+               indicator directly, even when the activation failed — the
+               Fig. 5.15 phantom attribution. *)
+            || defects.Defects.arbiter_dual_selected
+               && f = acc
+               && F.bool fr engage_acc_s
+               && F.bool fr enabled_acc_s
+               && not (F.bool fr fs.active_s.(acc))
+          in
+          if selected_now then begin
+            st.latched.(f) <- true;
+            Float.Array.set st.latch_left f latch_time
           end
+          else if
+            st.latched.(f)
+            && Float.Array.get st.latch_left f -. dt > 0.
+            && defects.Defects.arbiter_selected_latch
+          then Float.Array.set st.latch_left f (Float.Array.get st.latch_left f -. dt)
+          else st.latched.(f) <- false
+        done;
+        (* The flag-derived attribution (the only attribution visible
+           outside the arbiter) follows the latched 'selected' flags: during
+           the latch window a transient is still attributed to the
+           subsystem (§5.4.1). *)
+        let flag_attribution =
+          if st.cur <> driver then st.cur
           else begin
-            (* the feature withdrew: fall back immediately *)
-            st.cur <- "Driver";
-            st.override_t <- 0.
-          end);
-      (* selection of a new source. The repaired arbiter refuses to select
-         a feature while the pedals are applied unless it is demanding an
-         emergency stop; the evaluated arbiter checks the pedals only after
-         selection, via the override logic. *)
-      let pedal_gate f =
-        defects.Defects.arbiter_selects_under_pedals
-        || (not pedals)
-        || hard_stop_request ~v (req_of f)
-      in
-      let blocked_now f =
-        (* an overridden feature stays blocked while the pedals are applied —
-           but an emergency stop request is never blocked (§5.2.3) *)
-        Hashtbl.mem st.blocked f && pedals && not (hard_stop_request ~v (req_of f))
-      in
-      (match top with
-      | Some f when st.cur = "Driver" && (not (blocked_now f)) && pedal_gate f ->
-          if f = "LCA" then st.cur <- f (* defect-adjacent: LCA bypasses the debounce *)
-          else begin
-            let threshold =
-              if Hashtbl.mem st.was_overridden f then reselect_debounce
-              else select_debounce
-            in
-            (match st.pend with
-            | Some p when p = f -> st.pend_t <- st.pend_t +. dt
-            | _ ->
-                st.pend <- Some f;
-                st.pend_t <- dt);
-            if st.pend_t >= threshold then begin
-              st.cur <- f;
-              st.pend <- None;
-              st.pend_t <- 0.
-            end
+            let first = ref driver in
+            for k = Array.length priority - 1 downto 0 do
+              if st.latched.(priority.(k)) then first := priority.(k)
+            done;
+            if !first <> driver && defects.Defects.arbiter_selected_latch then !first
+            else driver
           end
-      | Some f when st.cur <> "Driver" && f <> st.cur ->
-          (* a higher-priority feature preempts after the debounce *)
-          (match st.pend with
-          | Some p when p = f -> st.pend_t <- st.pend_t +. dt
-          | _ ->
-              st.pend <- Some f;
-              st.pend_t <- dt);
-          if st.pend_t >= select_debounce then begin
-            st.cur <- f;
-            st.pend <- None;
-            st.pend_t <- 0.
-          end
-      | _ ->
-          st.pend <- None;
-          st.pend_t <- 0.);
-      (* driver demand *)
-      let driver_demand =
-        if brake > 0.05 then
-          if v > 0.01 then -7. *. brake else if v < -0.01 then 7. *. brake else 0.
-        else
-          let dir = if read_sym ctx gear = "R" then -1. else 1. in
-          dir *. 2.5 *. throttle
-      in
-      let cmd = match st.cur with "Driver" -> driver_demand | f -> req_of f in
-      (* --- steering arbitration --- *)
-      let steer_candidates =
-        List.filter
-          (fun f -> read_bool ctx (active f) && read_bool ctx (req_steer f))
-          (if defects.Defects.arbiter_steering_priority_reversed then
-             List.rev accel_priority
-           else accel_priority)
-      in
-      let wheel = read_bool ctx steering_wheel_active in
-      let steer_winner =
-        if wheel then None else (match steer_candidates with [] -> None | f :: _ -> Some f)
-      in
-      let s_cmd, s_src =
-        match steer_winner with
-        | None -> ((if wheel then st.last_steer else st.last_steer), "Driver")
-        | Some f ->
-            let value =
-              if f = "LCA" && defects.Defects.lca_steering_ignored then st.last_steer
-              else read_float ctx (steer_req f)
-            in
-            (value, f)
-      in
-      st.last_steer <- s_cmd;
-      (* Defect: the steering stage determines which acceleration request
-         value is passed along (§5.4.2). *)
-      let cmd =
-        match steer_winner with
-        | Some f
-          when defects.Defects.arbiter_steering_priority_reversed && st.cur <> "Driver"
-          -> req_of f
-        | _ -> cmd
-      in
-      (* Defect: wrong slot routed when PA is the acceleration source. *)
-      let cmd =
-        if st.cur = "PA" && defects.Defects.pa_command_mismatch then
-          read_float ctx (steer_req "PA")
-        else cmd
-      in
-      st.last_cmd <- cmd;
-      (* --- selected flags, with the latch defect --- *)
-      let selected_now f = st.cur = f || s_src = f in
-      let selected_now f =
-        selected_now f
-        || (defects.Defects.arbiter_dual_selected && f = "ACC" && st.cur = "LCA")
-        (* Defect: the HMI engage request drives the 'selected' indicator
-           directly, even when the activation failed — the Fig. 5.15
-           phantom attribution. *)
-        || defects.Defects.arbiter_dual_selected
-           && f = "ACC"
-           && read_bool ctx (engage_request "ACC")
-           && read_bool ctx (enabled "ACC")
-           && not (read_bool ctx (active "ACC"))
-      in
-      st.latch <-
-        List.filter_map
-          (fun f ->
-            if selected_now f then Some (f, latch_time)
-            else
-              match List.assoc_opt f st.latch with
-              | Some left when left -. dt > 0. && defects.Defects.arbiter_selected_latch ->
-                  Some (f, left -. dt)
-              | _ -> None)
-          features;
-      let flag f = List.mem_assoc f st.latch in
-      (* The flag-derived attribution (the only attribution visible outside
-         the arbiter) follows the latched 'selected' flags: during the latch
-         window a transient is still attributed to the subsystem (§5.4.1). *)
-      let flag_attribution =
-        if st.cur <> "Driver" then st.cur
-        else
-          match List.find_opt (fun f -> flag f) accel_priority with
-          | Some f when defects.Defects.arbiter_selected_latch -> f
-          | _ -> "Driver"
-      in
-      [
-        (accel_cmd, Value.Float cmd);
-        (accel_source, Value.Sym st.cur);
-        (va_source, Value.Sym flag_attribution);
-        (steer_cmd, Value.Float s_cmd);
-        (steer_source, Value.Sym s_src);
-        (vst_source, Value.Sym s_src);
-        (driver_selected, Value.Bool (st.cur = "Driver"));
-      ]
-      @ List.map (fun f -> (selected f, Value.Bool (flag f))) features)
+        in
+        set_float fr accel_cmd_s cmd;
+        F.set_sym fr accel_source_s (source_sym st.cur);
+        F.set_sym fr va_source_s (source_sym flag_attribution);
+        set_float fr steer_cmd_s s_cmd;
+        F.set_sym fr steer_source_s (source_sym s_src);
+        F.set_sym fr vst_source_s (source_sym s_src);
+        F.set_bool fr driver_selected_s (st.cur = driver);
+        for f = 0 to n_features - 1 do
+          F.set_bool fr selected_s.(f) st.latched.(f)
+        done)

@@ -13,16 +13,19 @@
 
 open Tl
 open Signals
+module F = Sim.Frame
 
-let ghost_profile now =
+(* Float reads and writes of the frame, defined here so that they inline
+   (see [Sim.Frame.floats]). *)
+let[@inline] float fr s = Float.Array.unsafe_get (F.floats fr s) (s :> int)
+let[@inline] set_float fr s x = Float.Array.unsafe_set (F.set_floats fr s) (s :> int) x
+
+let[@inline] ghost_profile now =
   if now < 2.186 then 2.0 else if now >= 9.33 && now < 9.624 then -2.0 else 0.0
 
 let request_jerk_limit = 2.0 (* m/s^3: engaged-mode requests are ramped *)
 
 let component (defects : Defects.t) =
-  let active_state = ref false in
-  let prev_engage = ref false in
-  let prev_req = ref 0. in
   Sim.Component.make ~name:"PA"
     ~outputs:
       [
@@ -32,49 +35,52 @@ let component (defects : Defects.t) =
         (steer_req "PA", Value.Float 0.);
         (req_steer "PA", Value.Bool false);
       ]
-    (fun ctx ->
-      let open Sim.Component in
-      let enabled = read_bool ctx (enabled "PA") in
-      let engage = read_bool ctx (engage_request "PA") in
-      if engage && not !prev_engage && enabled then active_state := true;
-      prev_engage := engage;
-      if not enabled then active_state := false;
-      let v = read_float ctx host_speed in
-      let ramp target =
-        let step = request_jerk_limit *. ctx.Sim.Component.dt in
-        let r = !prev_req +. Float.max (-.step) (Float.min step (target -. !prev_req)) in
-        prev_req := r;
-        r
-      in
-      if !active_state then
-        if Float.abs v > 0.3 then
-          (* align phase: searching for a space — steering authority is
-             claimed but the request is still neutral, and speed is held *)
-          [
-            (active "PA", Value.Bool true);
-            (accel_req "PA", Value.Float (ramp 0.));
-            (req_accel "PA", Value.Bool true);
-            (steer_req "PA", Value.Float 0.);
-            (req_steer "PA", Value.Bool true);
-          ]
-        else
-          (* creep phase from standstill *)
-          [
-            (active "PA", Value.Bool true);
-            (accel_req "PA", Value.Float (ramp 0.3));
-            (req_accel "PA", Value.Bool true);
-            (steer_req "PA", Value.Float 0.);
-            (req_steer "PA", Value.Bool false);
-          ]
-      else
-        [
-          (active "PA", Value.Bool false);
-          ( accel_req "PA",
-            Value.Float
-              (let g = if defects.Defects.pa_ghost_requests then ghost_profile ctx.now else 0. in
-               prev_req := g;
-               g) );
-          (req_accel "PA", Value.Bool false);
-          (steer_req "PA", Value.Float 0.);
-          (req_steer "PA", Value.Bool false);
-        ])
+    (fun b ->
+      let dt = F.Bind.dt b in
+      let enabled_s = F.Bind.bool b (enabled "PA")
+      and engage_s = F.Bind.bool b (engage_request "PA")
+      and speed_s = F.Bind.float b host_speed
+      and active_s = F.Bind.bool b (active "PA")
+      and accel_req_s = F.Bind.float b (accel_req "PA")
+      and req_accel_s = F.Bind.bool b (req_accel "PA")
+      and steer_req_s = F.Bind.float b (steer_req "PA")
+      and req_steer_s = F.Bind.bool b (req_steer "PA") in
+      let active_state = ref false in
+      let prev_engage = ref false in
+      let prev_req = Float.Array.make 1 0. in
+      fun fr ->
+        let enabled = F.bool fr enabled_s in
+        let engage = F.bool fr engage_s in
+        if engage && (not !prev_engage) && enabled then active_state := true;
+        prev_engage := engage;
+        if not enabled then active_state := false;
+        let v = float fr speed_s in
+        if !active_state then begin
+          (* align phase (searching for a space: steering authority is
+             claimed but the request is still neutral, and speed is held)
+             while moving, creep phase from standstill *)
+          let moving = Float.abs v > 0.3 in
+          let target = if moving then 0. else 0.3 in
+          let step = request_jerk_limit *. dt in
+          let prev = Float.Array.get prev_req 0 in
+          let r = prev +. Float.max (-.step) (Float.min step (target -. prev)) in
+          Float.Array.set prev_req 0 r;
+          F.set_bool fr active_s true;
+          set_float fr accel_req_s r;
+          F.set_bool fr req_accel_s true;
+          set_float fr steer_req_s 0.;
+          F.set_bool fr req_steer_s moving
+        end
+        else begin
+          let g =
+            if defects.Defects.pa_ghost_requests then
+              ghost_profile (float_of_int (F.tick fr) *. dt)
+            else 0.
+          in
+          Float.Array.set prev_req 0 g;
+          F.set_bool fr active_s false;
+          set_float fr accel_req_s g;
+          F.set_bool fr req_accel_s false;
+          set_float fr steer_req_s 0.;
+          F.set_bool fr req_steer_s false
+        end)

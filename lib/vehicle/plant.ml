@@ -10,6 +10,12 @@
 
 open Tl
 open Signals
+module F = Sim.Frame
+
+(* Float reads and writes of the frame, defined here so that they inline
+   (see [Sim.Frame.floats]). *)
+let[@inline] float fr s = Float.Array.unsafe_get (F.floats fr s) (s :> int)
+let[@inline] set_float fr s x = Float.Array.unsafe_set (F.set_floats fr s) (s :> int) x
 
 type dynamics = { omega_n : float; zeta : float }
 
@@ -33,21 +39,20 @@ let lead_vehicle objects =
         (lead_speed, Value.Float (objects.lead_profile 0.));
         (rear_pos, Value.Float objects.rear_start);
       ]
-    (fun ctx ->
-      let p = Sim.Component.read_float ctx lead_pos in
-      let v = objects.lead_profile ctx.Sim.Component.now in
-      [
-        (lead_pos, Value.Float (p +. (v *. ctx.Sim.Component.dt)));
-        (lead_speed, Value.Float v);
-      ])
+    (fun b ->
+      let dt = F.Bind.dt b in
+      let pos = F.Bind.float b lead_pos and speed = F.Bind.float b lead_speed in
+      fun fr ->
+        let p = float fr pos in
+        let v = objects.lead_profile (float_of_int (F.tick fr) *. dt) in
+        set_float fr pos (p +. (v *. dt));
+        set_float fr speed v)
 
 (** Host longitudinal dynamics, including the engage-creep defect
     (Fig. 5.15) and collision detection (the thesis's early-termination
     condition). *)
 let host ?(dynamics = default_dynamics) (defects : Defects.t) =
   let { omega_n; zeta } = dynamics in
-  let jerk_state = ref 0. in
-  let creep_left = ref 0. in
   Sim.Component.make ~name:"HostDynamics"
     ~outputs:
       [
@@ -57,69 +62,80 @@ let host ?(dynamics = default_dynamics) (defects : Defects.t) =
         (host_jerk, Value.Float 0.);
         (collision, Value.Bool false);
       ]
-    (fun ctx ->
-      let open Sim.Component in
-      let dt = ctx.dt in
-      let a = read_float ctx host_accel in
-      let v = read_float ctx host_speed in
-      let p = read_float ctx host_pos in
-      let u = read_float ctx accel_cmd in
-      (* Defect: a failed ACC engage attempt at standstill leaks a creep
-         torque into the powertrain for a few seconds. *)
-      if
-        defects.Defects.powertrain_creep_on_engage
-        && read_bool ctx (engage_request "ACC")
-        && Float.abs v < 0.05
-        && not (read_bool ctx (active "ACC"))
-      then creep_left := 3.0;
-      let creep =
-        if !creep_left > 0. then begin
-          creep_left := !creep_left -. dt;
-          0.8
-        end
-        else 0.
-      in
-      let u = u +. creep in
-      (* Second-order response; [jerk_state] is da/dt. *)
-      let s = !jerk_state in
-      let s' = s +. ((omega_n *. omega_n *. (u -. a)) -. (2. *. zeta *. omega_n *. s)) *. dt in
-      jerk_state := s';
-      let a' = a +. (s' *. dt) in
-      (* Standing still with no drive torque (or with the brake applied
-         against the direction of travel): friction holds the vehicle. *)
-      let v' = v +. (a' *. dt) in
-      (* The brake controller holds the vehicle at standstill against
-         commands opposing the direction of travel — except that autonomous
-         torque requests bypass the standstill hold (the plant-side face of
-         the no-standstill-clamp defect): a subsystem commanding negative
-         acceleration at standstill pushes the vehicle backward through
-         zero, the Fig. 5.11 negative speed. *)
-      let braking_demand =
-        if read_sym ctx gear = "R" then u >= -0.05 else u <= 0.05
-      in
-      let hold_bypassed =
-        defects.Defects.acc_no_standstill_clamp
-        && read_sym ctx accel_source <> "Driver"
-        && Float.abs u >= 0.05
-      in
-      (* The capture band must exceed the largest per-step Δv (hard braking
-         changes v by ~9 mm/s per millisecond state). *)
-      let held =
-        Float.abs v' < 0.02
-        && (Float.abs u < 0.05 || (braking_demand && not hold_bypassed))
-      in
-      let v' = if held then 0. else v' in
-      let p' = p +. (v' *. dt) in
-      let lead = read_float ctx lead_pos in
-      let rear = read_float ctx rear_pos in
-      let hit = p' >= lead || p' <= rear in
-      [
-        (host_pos, Value.Float p');
-        (host_speed, Value.Float v');
-        (host_accel, Value.Float a');
-        (host_jerk, Value.Float s');
-        (collision, Value.Bool hit);
-      ])
+    (fun b ->
+      let dt = F.Bind.dt b in
+      let pos = F.Bind.float b host_pos
+      and speed = F.Bind.float b host_speed
+      and accel = F.Bind.float b host_accel
+      and jerk = F.Bind.float b host_jerk
+      and hit_s = F.Bind.bool b collision
+      and cmd = F.Bind.float b accel_cmd
+      and engage_acc = F.Bind.bool b (engage_request "ACC")
+      and active_acc = F.Bind.bool b (active "ACC")
+      and gear = F.Bind.sym b gear
+      and source = F.Bind.sym b accel_source
+      and lead = F.Bind.float b lead_pos
+      and rear = F.Bind.float b rear_pos in
+      let reverse = F.Bind.symbol b "R" and driver = F.Bind.symbol b "Driver" in
+      (* [| jerk state (da/dt); creep time left |] *)
+      let st = Float.Array.make 2 0. in
+      fun fr ->
+        let a = float fr accel in
+        let v = float fr speed in
+        let p = float fr pos in
+        let u = float fr cmd in
+        (* Defect: a failed ACC engage attempt at standstill leaks a creep
+           torque into the powertrain for a few seconds. *)
+        if
+          defects.Defects.powertrain_creep_on_engage
+          && F.bool fr engage_acc
+          && Float.abs v < 0.05
+          && not (F.bool fr active_acc)
+        then Float.Array.set st 1 3.0;
+        let creep =
+          if Float.Array.get st 1 > 0. then begin
+            Float.Array.set st 1 (Float.Array.get st 1 -. dt);
+            0.8
+          end
+          else 0.
+        in
+        let u = u +. creep in
+        (* Second-order response; the jerk state is da/dt. *)
+        let s = Float.Array.get st 0 in
+        let s' = s +. ((omega_n *. omega_n *. (u -. a)) -. (2. *. zeta *. omega_n *. s)) *. dt in
+        Float.Array.set st 0 s';
+        let a' = a +. (s' *. dt) in
+        (* Standing still with no drive torque (or with the brake applied
+           against the direction of travel): friction holds the vehicle. *)
+        let v' = v +. (a' *. dt) in
+        (* The brake controller holds the vehicle at standstill against
+           commands opposing the direction of travel — except that
+           autonomous torque requests bypass the standstill hold (the
+           plant-side face of the no-standstill-clamp defect): a subsystem
+           commanding negative acceleration at standstill pushes the vehicle
+           backward through zero, the Fig. 5.11 negative speed. *)
+        let braking_demand = if F.sym fr gear = reverse then u >= -0.05 else u <= 0.05 in
+        let hold_bypassed =
+          defects.Defects.acc_no_standstill_clamp
+          && F.sym fr source <> driver
+          && Float.abs u >= 0.05
+        in
+        (* The capture band must exceed the largest per-step Δv (hard
+           braking changes v by ~9 mm/s per millisecond state). *)
+        let held =
+          Float.abs v' < 0.02
+          && (Float.abs u < 0.05 || (braking_demand && not hold_bypassed))
+        in
+        let v' = if held then 0. else v' in
+        let p' = p +. (v' *. dt) in
+        let lead = float fr lead in
+        let rear = float fr rear in
+        let hit = p' >= lead || p' <= rear in
+        set_float fr pos p';
+        set_float fr speed v';
+        set_float fr accel a';
+        set_float fr jerk s';
+        F.set_bool fr hit_s hit)
 
 (** Forward and rear object sensors. The forward radar has a 2 m minimum
     range; with the dropout defect, objects closer than that vanish — the
@@ -135,35 +151,49 @@ let sensors (defects : Defects.t) =
         (rear_object_detected, Value.Bool false);
         (rear_range, Value.Float 1000.);
       ]
-    (fun ctx ->
-      let open Sim.Component in
-      let range = read_float ctx lead_pos -. read_float ctx host_pos in
-      let closing = read_float ctx host_speed -. read_float ctx lead_speed in
+    (fun b ->
+      let lead_pos = F.Bind.float b lead_pos
+      and host_pos = F.Bind.float b host_pos
+      and host_speed = F.Bind.float b host_speed
+      and lead_speed = F.Bind.float b lead_speed
+      and rear_pos = F.Bind.float b rear_pos
+      and detected_s = F.Bind.bool b object_detected
+      and range_s = F.Bind.float b object_range
+      and closing_s = F.Bind.float b object_closing_speed
+      and rdetected_s = F.Bind.bool b rear_object_detected
+      and rrange_s = F.Bind.float b rear_range in
       let min_range = if defects.Defects.radar_min_range_dropout then 2.0 else 0.0 in
-      let detected = range > min_range && range < 60. in
-      let rrange = read_float ctx host_pos -. read_float ctx rear_pos in
-      let rdetected = rrange > 0. && rrange < 30. in
-      [
-        (object_detected, Value.Bool detected);
-        (object_range, Value.Float range);
-        (object_closing_speed, Value.Float closing);
-        (rear_object_detected, Value.Bool rdetected);
-        (rear_range, Value.Float rrange);
-      ])
+      fun fr ->
+        let range = float fr lead_pos -. float fr host_pos in
+        let closing = float fr host_speed -. float fr lead_speed in
+        let detected = range > min_range && range < 60. in
+        let rrange = float fr host_pos -. float fr rear_pos in
+        let rdetected = rrange > 0. && rrange < 30. in
+        F.set_bool fr detected_s detected;
+        set_float fr range_s range;
+        set_float fr closing_s closing;
+        F.set_bool fr rdetected_s rdetected;
+        set_float fr rrange_s rrange)
 
 (** Jerk derivation for the acceleration command and every feature request
     (needed by subgoals 2A/2B). The derivative is one state delayed, like
     every monitored value. *)
 let jerk_derivation () =
   let tracked = (accel_cmd, accel_cmd_jerk) :: List.map (fun f -> (accel_req f, accel_req_jerk f)) features in
-  let last : (string, float) Hashtbl.t = Hashtbl.create 8 in
   Sim.Component.make ~name:"JerkDerivation"
     ~outputs:(List.map (fun (_, out) -> (out, Value.Float 0.)) tracked)
-    (fun ctx ->
-      List.map
-        (fun (src, out) ->
-          let v = Sim.Component.read_float ctx src in
-          let prev = Option.value (Hashtbl.find_opt last src) ~default:v in
-          Hashtbl.replace last src v;
-          (out, Value.Float ((v -. prev) /. ctx.Sim.Component.dt)))
-        tracked)
+    (fun b ->
+      let dt = F.Bind.dt b in
+      let srcs = Array.of_list (List.map (fun (src, _) -> F.Bind.float b src) tracked) in
+      let outs = Array.of_list (List.map (fun (_, out) -> F.Bind.float b out) tracked) in
+      (* each source's value at the previous tick; the first tick derives 0 *)
+      let last = Float.Array.make (Array.length srcs) 0. in
+      let primed = ref false in
+      fun fr ->
+        for k = 0 to Array.length srcs - 1 do
+          let v = float fr srcs.(k) in
+          let prev = if !primed then Float.Array.get last k else v in
+          Float.Array.set last k v;
+          set_float fr outs.(k) ((v -. prev) /. dt)
+        done;
+        primed := true)

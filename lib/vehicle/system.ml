@@ -43,16 +43,19 @@ let world ?(defects = Defects.as_evaluated) ?timing ?dynamics ~objects ~events (
       Plant.jerk_derivation ();
     ]
 
+(* The thesis's runs end early on collision. *)
+let collided b =
+  let c = Sim.Frame.Bind.bool b collision in
+  fun fr -> Sim.Frame.bool fr c
+
 (** Run a scenario world; terminates early on collision, like the thesis's
-    runs. [interpose] is the runtime fault-injection hook: a stateful
-    snapshot transform (e.g. [Inject.Plan.interposer]) applied to every
-    freshly computed state, so faulted signals are what the features, the
-    arbiter and the monitors all observe one tick later. *)
+    runs. [interpose] is the runtime fault-injection hook: an interposer
+    (e.g. [Inject.Plan.interposer]) bound to the world's slots and applied
+    to every freshly computed state, so faulted signals are what the
+    features, the arbiter and the monitors all observe one tick later. *)
 let run ?(defects = Defects.as_evaluated) ?timing ?dynamics ?interpose
     ?(duration = 20.0) ~objects ~events () =
-  Sim.World.run
-    ~stop:(fun s -> State.bool s collision)
-    ?transform:interpose ~until:duration
+  Sim.World.run ~stop:collided ?transform:interpose ~until:duration
     (world ~defects ?timing ?dynamics ~objects ~events ())
 
 (* ------------------------------------------------------------------ *)

@@ -35,20 +35,33 @@ let test_prng () =
 let snap x = State.of_list [ ("x", Value.Float x); ("flag", Value.Bool true) ]
 let dt = 0.001
 
-let feed fault xs =
+(* A fault runtime bound to a frame over the snapshot's two slots:
+   [apply i s] interposes on snapshot [s] computed at tick [i]. *)
+let bound ?(seed = 0) fault =
+  let b = Sim.Frame.binder ~dt in
+  let slots = [ ("x", Sim.Frame.Bind.value b "x"); ("flag", Sim.Frame.Bind.value b "flag") ] in
+  let rt = Inject.Fault.runtime ~seed fault b in
+  let fr = Sim.Frame.create b in
+  fun i s ->
+    Sim.Frame.begin_tick fr i;
+    Sim.Frame.clear_next fr;
+    List.iter (fun (name, sl) -> Sim.Frame.set_value fr sl (State.get s name)) slots;
+    Inject.Fault.apply rt ~dt fr;
+    State.of_list
+      (List.filter_map
+         (fun (name, sl) -> Option.map (fun v -> (name, v)) (Sim.Frame.peek fr sl))
+         slots)
+
+let feed ?seed fault xs =
   (* Drive one runtime over a 1 kHz sequence of snapshots; collect x. *)
-  let rt = Inject.Fault.runtime ~seed:0 fault in
-  List.mapi
-    (fun i x ->
-      State.float (Inject.Fault.apply rt ~dt ~now:(float_of_int i *. dt) (snap x)) "x")
-    xs
+  let apply = bound ?seed fault in
+  List.mapi (fun i x -> State.float (apply i (snap x)) "x") xs
 
 let test_stuck_at () =
   let f = Inject.Fault.make ~target:"x" (Stuck_at (Value.Float 9.)) in
   Alcotest.(check (list (float 0.))) "output frozen" [ 9.; 9.; 9. ] (feed f [ 1.; 2.; 3. ]);
-  let rt = Inject.Fault.runtime ~seed:0 f in
   Alcotest.(check bool) "other variables untouched" true
-    (State.bool (Inject.Fault.apply rt ~dt ~now:0. (snap 1.)) "flag")
+    (State.bool (bound f 0 (snap 1.)) "flag")
 
 let test_window () =
   let f =
@@ -76,10 +89,10 @@ let test_dropout_missing () =
   (* A non-numeric target degrades to hold-last rather than poisoning the
      variable with a float. *)
   let f = Inject.Fault.make ~from_t:0.001 ~target:"flag" Dropout_missing in
-  let rt = Inject.Fault.runtime ~seed:0 f in
-  let s0 = Inject.Fault.apply rt ~dt ~now:0. (snap 1.) in
+  let apply = bound f in
+  let s0 = apply 0 (snap 1.) in
   Alcotest.(check bool) "pre-window pass-through" true (State.bool s0 "flag");
-  let s1 = Inject.Fault.apply rt ~dt ~now:0.001 (snap 1.) in
+  let s1 = apply 1 (snap 1.) in
   Alcotest.(check bool) "bool target held, still a bool" true (State.bool s1 "flag")
 
 let test_delay () =
@@ -93,23 +106,15 @@ let test_noise_determinism () =
   let f = Inject.Fault.make ~target:"x" (Noise 0.5) in
   let xs = List.init 50 (fun i -> float_of_int i) in
   Alcotest.(check bool) "same seed, same noise" true (feed f xs = feed f xs);
-  let with_seed seed =
-    let rt = Inject.Fault.runtime ~seed f in
-    List.mapi
-      (fun i x ->
-        State.float (Inject.Fault.apply rt ~dt ~now:(float_of_int i *. dt) (snap x)) "x")
-      xs
-  in
+  let with_seed seed = feed ~seed f xs in
   Alcotest.(check bool) "different seed, different noise" true
     (with_seed 1 <> with_seed 2);
   Alcotest.(check bool) "noise actually perturbs" true (feed f xs <> xs)
 
 let test_absent_target () =
   let f = Inject.Fault.make ~target:"nonexistent" (Stuck_at (Value.Float 9.)) in
-  let rt = Inject.Fault.runtime ~seed:0 f in
   let s = snap 1. in
-  Alcotest.(check bool) "absent target is a no-op" true
-    (State.equal s (Inject.Fault.apply rt ~dt ~now:0. s))
+  Alcotest.(check bool) "absent target is a no-op" true (State.equal s (bound f 0 s))
 
 (* ------------------------------------------------------------------ *)
 (* Spec round-trip                                                     *)

@@ -10,7 +10,9 @@ let f x = Value.Float x
 let relay ~name ~input ~output =
   Sim.Component.make ~name
     ~outputs:[ (output, b false) ]
-    (fun ctx -> [ (output, Value.Bool (Sim.Component.read_bool ctx input)) ])
+    (fun bd ->
+      let i = Sim.Frame.Bind.bool bd input and o = Sim.Frame.Bind.bool bd output in
+      fun fr -> Sim.Frame.set_bool fr o (Sim.Frame.bool fr i))
 
 let test_one_state_delay () =
   let source =
@@ -57,15 +59,16 @@ let test_stimulus_ordering () =
 
 let test_early_termination () =
   let counter =
-    Sim.Component.make ~name:"c" ~outputs:[ ("n", Value.Int 0) ] (fun ctx ->
-        match Sim.Component.read ctx "n" with
-        | Value.Int n -> [ ("n", Value.Int (n + 1)) ]
-        | _ -> [])
+    Sim.Component.make ~name:"c" ~outputs:[ ("n", Value.Int 0) ] (fun bd ->
+        let n = Sim.Frame.Bind.int bd "n" in
+        fun fr -> Sim.Frame.set_int fr n (Sim.Frame.int_or fr n 0 + 1))
   in
   let w = Sim.World.make ~dt:1.0 [ counter ] in
   let tr =
     Sim.World.run
-      ~stop:(fun s -> match State.get s "n" with Value.Int n -> n >= 3 | _ -> false)
+      ~stop:(fun bd ->
+        let n = Sim.Frame.Bind.int bd "n" in
+        fun fr -> Sim.Frame.int_or fr n 0 >= 3)
       ~until:100. w
   in
   Alcotest.(check int) "stopped at n=3 (states 0..3)" 4 (Trace.length tr)
@@ -79,13 +82,14 @@ let test_determinism () =
 
 let test_unwritten_variables_persist () =
   let once =
-    let fired = ref false in
-    Sim.Component.make ~name:"once" ~outputs:[ ("y", f 7.) ] (fun _ ->
-        if !fired then []
-        else begin
-          fired := true;
-          [ ("y", f 9.) ]
-        end)
+    Sim.Component.make ~name:"once" ~outputs:[ ("y", f 7.) ] (fun bd ->
+        let y = Sim.Frame.Bind.float bd "y" in
+        let fired = ref false in
+        fun fr ->
+          if not !fired then begin
+            fired := true;
+            Sim.Frame.set_float fr y 9.
+          end)
   in
   let w = Sim.World.make ~dt:1.0 [ once ] in
   let tr = Sim.World.run ~until:3. w in
