@@ -3,9 +3,9 @@
     A formula is compiled once into a flat instruction array; the monitor's
     dynamic state is a plain [int array] of memory slots (booleans as 0/1,
     counters for the bounded-duration operators). Because the dynamic state is
-    a small comparable vector, the same monitor drives both online monitoring
-    during simulation ({!Rtmon.Online}) and the finite product construction of
-    the model checker ({!Mc.Checker}).
+    a small comparable vector, the same monitor drives both monitoring over
+    a recorded trace ({!run_trace}, {!run_trace_status}) and the finite
+    product construction of the model checker ({!Mc.Checker}).
 
     Equivalence with the reference semantics {!Tl.Eval.eval} is established by
     the property tests in [test/test_rtmon.ml]. *)
@@ -237,6 +237,81 @@ let rec typed_term ~strict tr (t : Term.t) : tterm option =
   | Term.Min (a, b) -> arith Float.min a b
   | Term.Max (a, b) -> arith Float.max a b
 
+(* The atom shapes of Table 5.3 read their cells in place: a numeric
+   operand is a float column (an int column is converted once), possibly
+   under [Abs], or a constant, and a symbol test compares interned ids.
+   Each shape gets its own reader, so that no float is boxed per state;
+   they return the same verdict as the general [tterm] readers below. *)
+type operand = OCol of floatarray * bool  (** column, under [Abs]? *) | OConst of float
+
+let operand_column ~strict tr v =
+  match Trace.column tr v with
+  | Some (col, pres) when (not strict) || pres = None -> Some col
+  | _ -> None
+
+let operand ~strict tr (t : Term.t) =
+  let column v abs =
+    match operand_column ~strict tr v with
+    | Some (Trace.FCol a) -> Some (OCol (a, abs))
+    | Some (Trace.ICol a) ->
+        Some (OCol (Float.Array.init (Array.length a) (fun i -> float_of_int a.(i)), abs))
+    | _ -> None
+  in
+  match t with
+  | Term.Var v -> column v false
+  | Term.Abs (Term.Var v) -> column v true
+  | Term.Const (Value.Float f) -> Some (OConst f)
+  | Term.Const (Value.Int n) -> Some (OConst (float_of_int n))
+  | _ -> None
+
+type rel = Lt | Le | Gt | Ge | Eq | Ne
+
+(* [Value.compare_num] and [Value.equal] on numbers are [Float.compare]. *)
+let[@inline] holds rel c =
+  match rel with
+  | Lt -> c < 0
+  | Le -> c <= 0
+  | Gt -> c > 0
+  | Ge -> c >= 0
+  | Eq -> c = 0
+  | Ne -> c <> 0
+
+let fast_compare ~strict tr rel x y =
+  let get a i = Float.Array.unsafe_get a i in
+  match (operand ~strict tr x, operand ~strict tr y) with
+  | Some (OCol (a, false)), Some (OConst c) ->
+      Some (fun i -> holds rel (Float.compare (get a i) c))
+  | Some (OCol (a, true)), Some (OConst c) ->
+      Some (fun i -> holds rel (Float.compare (Float.abs (get a i)) c))
+  | Some (OConst c), Some (OCol (a, false)) ->
+      Some (fun i -> holds rel (Float.compare c (get a i)))
+  | Some (OConst c), Some (OCol (a, true)) ->
+      Some (fun i -> holds rel (Float.compare c (Float.abs (get a i))))
+  | Some (OCol (a, false)), Some (OCol (b, false)) ->
+      Some (fun i -> holds rel (Float.compare (get a i) (get b i)))
+  | Some (OCol (a, abs_a)), Some (OCol (b, abs_b)) ->
+      let f x abs = if abs then Float.abs x else x in
+      Some (fun i -> holds rel (Float.compare (f (get a i) abs_a) (f (get b i) abs_b)))
+  | _ -> None
+
+(* [Var = 'Sym'] over an interned column: one id comparison per state. *)
+let fast_symbol ~strict tr rel x y =
+  let test v s =
+    match operand_column ~strict tr v with
+    | Some (Trace.SCol { values; ids }) ->
+        let k = ref (-1) in
+        Array.iteri (fun j x -> if x = Value.Sym s then k := j) values;
+        let k = !k in
+        let eq i = Char.code (Bytes.unsafe_get ids i) = k in
+        Some (if rel = Eq then eq else fun i -> not (eq i))
+    | _ -> None
+  in
+  match (rel, x, y) with
+  | (Eq | Ne), Term.Var v, Term.Const (Value.Sym s)
+  | (Eq | Ne), Term.Const (Value.Sym s), Term.Var v ->
+      test v s
+  | _ -> None
+
 let compile_atom ~strict tr (a : Formula.atom) : (int -> bool) option =
   let typed t = typed_term ~strict tr t in
   (* [Value.equal] has numeric coercion, [String.equal] on symbols,
@@ -257,19 +332,25 @@ let compile_atom ~strict tr (a : Formula.atom) : (int -> bool) option =
         Some (fun i -> op (Float.compare (fx i) (fy i)) 0)
     | _ -> None
   in
+  let fast rel x y =
+    match fast_compare ~strict tr rel x y with
+    | Some f -> Some f
+    | None -> fast_symbol ~strict tr rel x y
+  in
+  let either f general = match f with Some _ -> f | None -> general () in
   match a with
   | Formula.Bvar v -> (
       match Trace.column tr v with
       | Some (Trace.BCol b, pres) when (not strict) || pres = None ->
           Some (fun i -> Bytes.get b i = '\001')
       | _ -> None)
-  | Formula.Eq (x, y) -> equality x y
+  | Formula.Eq (x, y) -> either (fast Eq x y) (fun () -> equality x y)
   | Formula.Ne (x, y) ->
-      Option.map (fun f i -> not (f i)) (equality x y)
-  | Formula.Lt (x, y) -> ordered ( < ) x y
-  | Formula.Le (x, y) -> ordered ( <= ) x y
-  | Formula.Gt (x, y) -> ordered ( > ) x y
-  | Formula.Ge (x, y) -> ordered ( >= ) x y
+      either (fast Ne x y) (fun () -> Option.map (fun f i -> not (f i)) (equality x y))
+  | Formula.Lt (x, y) -> either (fast Lt x y) (fun () -> ordered ( < ) x y)
+  | Formula.Le (x, y) -> either (fast Le x y) (fun () -> ordered ( <= ) x y)
+  | Formula.Gt (x, y) -> either (fast Gt x y) (fun () -> ordered ( > ) x y)
+  | Formula.Ge (x, y) -> either (fast Ge x y) (fun () -> ordered ( >= ) x y)
 
 (* One compiled reader per [OAtom] op; [None] if any atom refuses. *)
 let compile_atoms ~strict tr (c : compiled) : (int -> bool) array option =
@@ -419,7 +500,15 @@ let run_trace_status ?(stale = []) f (trace : Trace.t) : status array =
                 | _ -> absent))
           vars
       in
-      let inh i = List.exists (fun c -> c i) inh_checks in
+      let inh_checks = Array.of_list inh_checks in
+      let inh i =
+        let hit = ref false and k = ref 0 in
+        while (not !hit) && !k < Array.length inh_checks do
+          hit := inh_checks.(!k) i;
+          incr k
+        done;
+        !hit
+      in
       let stale_reads =
         List.map
           (fun (var, k) ->
@@ -457,7 +546,7 @@ let run_trace_status ?(stale = []) f (trace : Trace.t) : status array =
       let mem = ref (Array.copy t0.c.init_mem) in
       let mem' = ref (Array.copy t0.c.init_mem) in
       for i = 0 to n - 1 do
-        let is_stale = stale_now i in
+        let is_stale = stale_reads <> [] && stale_now i in
         if inh i || is_stale then out.(i) <- Inhibited (* memory frozen *)
         else begin
           fast_step ops afuns v !mem !mem' i;
@@ -503,8 +592,8 @@ let run_trace_status ?(stale = []) f (trace : Trace.t) : status array =
 
 (** Violation intervals of a status series (maximal [Fail] runs). *)
 let fails ~dt status =
-  Violation.of_series ~dt (Array.map (fun s -> s <> Fail) status)
+  Violation.of_runs ~dt (Array.length status) (fun i -> Array.unsafe_get status i = Fail)
 
 (** Inhibition intervals of a status series (maximal [Inhibited] runs). *)
 let inhibitions ~dt status =
-  Violation.of_series ~dt (Array.map (fun s -> s <> Inhibited) status)
+  Violation.of_runs ~dt (Array.length status) (fun i -> Array.unsafe_get status i = Inhibited)

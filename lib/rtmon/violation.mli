@@ -14,6 +14,10 @@ val pp_interval : Format.formatter -> interval -> unit
 val of_series : dt:float -> bool array -> interval list
 (** Maximal false runs of a per-state satisfaction series. *)
 
+val of_runs : dt:float -> int -> (int -> bool) -> interval list
+(** [of_runs ~dt n bad] — maximal runs of the states [0 .. n-1] where
+    [bad i] holds, read in place from any per-state series. *)
+
 val count : interval list -> int
 val total_duration : interval list -> float
 

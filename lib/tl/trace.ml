@@ -357,9 +357,12 @@ module Builder = struct
      the two shared booleans, one string per symbol — so that how the
      cells were produced (a held value's block shared across states, say)
      never shows in the marshalled bytes. *)
-  let canonical b (v : Value.t) =
+  let canonical b box (v : Value.t) =
     match v with
-    | Value.Float f -> Value.Float f
+    | Value.Float f ->
+        (* through an unboxed store, so that the float is boxed afresh too *)
+        Float.Array.set box 0 f;
+        Value.Float (Float.Array.get box 0)
     | Value.Int i -> Value.Int i
     | Value.Bool x -> if x then vtrue else vfalse
     | Value.Sym s -> sym_value b (symbol b s)
@@ -394,9 +397,10 @@ module Builder = struct
               ids = Bytes.sub g.ids 0 len;
             }
       | GV a ->
+          let box = Float.Array.make 1 0. in
           VCol
             (Array.init len (fun i ->
-                 if Bytes.get c.pres i = '\001' then canonical b a.(i) else vfalse))
+                 if Bytes.get c.pres i = '\001' then canonical b box a.(i) else vfalse))
     in
     let cols =
       List.filter (fun c -> match c.store with GE -> false | _ -> true) b.bcols

@@ -25,23 +25,26 @@ let driver_init =
 
 let driver events = Sim.Stimulus.component ~name:"DriverHMI" ~init:driver_init events
 
+(** The components of one scenario run, in stepping order. *)
+let components ?(defects = Defects.as_evaluated) ?timing ?dynamics ~objects ~events () =
+  [
+    driver events;
+    Plant.lead_vehicle objects;
+    Plant.sensors defects;
+    Feature_ca.component defects;
+    Feature_acc.component defects;
+    Feature_rca.component defects;
+    Feature_lca.component defects;
+    Feature_pa.component defects;
+    Arbiter.component ?timing defects;
+    Plant.host ?dynamics defects;
+    Plant.jerk_derivation ();
+  ]
+
 (** Build the full simulation world for one scenario run. Fresh component
     state every call. *)
-let world ?(defects = Defects.as_evaluated) ?timing ?dynamics ~objects ~events () =
-  Sim.World.make ~dt
-    [
-      driver events;
-      Plant.lead_vehicle objects;
-      Plant.sensors defects;
-      Feature_ca.component defects;
-      Feature_acc.component defects;
-      Feature_rca.component defects;
-      Feature_lca.component defects;
-      Feature_pa.component defects;
-      Arbiter.component ?timing defects;
-      Plant.host ?dynamics defects;
-      Plant.jerk_derivation ();
-    ]
+let world ?defects ?timing ?dynamics ~objects ~events () =
+  Sim.World.make ~dt (components ?defects ?timing ?dynamics ~objects ~events ())
 
 (* The thesis's runs end early on collision. *)
 let collided b =

@@ -57,6 +57,97 @@ let prop_incremental_equals_reference =
       let ref_ = Eval.series tr phi in
       inc = ref_)
 
+(* Atoms of the Table 5.3 shapes — [Var ⋈ Const], [Abs Var ⋈ Const],
+   [Var ⋈ Var], [Var = 'Sym'], [Bvar] — over a float column with NaN and
+   signed zeros ([x]), an int column ([n]), a symbol column ([s]) and a
+   boolean one ([p]). Every variable is present in state 0 and may be
+   absent later, so each column is typed and partially present: the
+   three-valued runner reads them all through its in-place readers. *)
+let gen_numeric_formula =
+  let open QCheck.Gen in
+  let rel = oneofl [ Formula.lt; Formula.le; Formula.gt; Formula.ge; Formula.eq; Formula.ne ] in
+  let const = map Term.float (oneofl [ -1.; 0.; 0.5; 2. ]) in
+  let atom =
+    oneof
+      [
+        map2 (fun r c -> r (Term.var "x") c) rel const;
+        map2 (fun r c -> r c (Term.var "x")) rel const;
+        map2 (fun r c -> r (Term.Abs (Term.var "x")) c) rel const;
+        map (fun r -> r (Term.var "x") (Term.var "n")) rel;
+        map2 (fun r c -> r (Term.var "n") c) rel const;
+        map2 (fun r c -> r (Term.Abs (Term.var "n")) c) rel const;
+        map (fun v -> Formula.var_is "s" v) (oneofl [ "A"; "B"; "Z" ]);
+        map (fun v -> Formula.ne (Term.var "s") (Term.sym v)) (oneofl [ "A"; "Z" ]);
+        return (Formula.bvar "p");
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 0 then atom
+         else
+           frequency
+             [
+               (3, atom);
+               (1, map Formula.not_ (self (n - 1)));
+               (1, map2 (fun a b -> Formula.And (a, b)) (self (n / 2)) (self (n / 2)));
+               (1, map2 (fun a b -> Formula.Or (a, b)) (self (n / 2)) (self (n / 2)));
+               (1, map Formula.prev (self (n - 1)));
+               (1, map Formula.once (self (n - 1)));
+               (1, map Formula.hist (self (n - 1)));
+               (1, map (fun f -> Formula.prev_for 2. f) (self (n - 1)));
+             ])
+
+let gen_numeric_trace =
+  let open QCheck.Gen in
+  let cells =
+    [
+      map (fun x -> ("x", Value.Float x)) (oneofl [ -1.; -0.; 0.; 0.5; 2.; Float.nan ]);
+      map (fun k -> ("n", Value.Int k)) (int_range (-2) 2);
+      map (fun v -> ("s", Value.Sym v)) (oneofl [ "A"; "B" ]);
+      map (fun b -> ("p", Value.Bool b)) bool;
+    ]
+  in
+  let full = flatten_l cells in
+  let partial =
+    flatten_l (List.map (fun c -> opt ~ratio:0.8 c) cells) |> map (List.filter_map Fun.id)
+  in
+  map2
+    (fun s0 rest -> Trace.make ~dt:1.0 (List.map State.of_list (s0 :: rest)))
+    full
+    (list_size (int_range 0 14) partial)
+
+(* The three-valued verdict by its definition, state by state. *)
+let reference_status phi tr =
+  let vars = Formula.vars phi in
+  let m = ref (Rtmon.Incremental.create ~dt:(Trace.dt tr) phi) in
+  Array.init (Trace.length tr) (fun i ->
+      let st = Trace.get tr i in
+      if Rtmon.Incremental.inhibited st vars then Rtmon.Incremental.Inhibited
+      else begin
+        let ok, m' = Rtmon.Incremental.step !m st in
+        m := m';
+        if ok then Rtmon.Incremental.Pass else Rtmon.Incremental.Fail
+      end)
+
+let prop_fast_path_equals_reference =
+  QCheck.Test.make
+    ~name:"in-place atom readers ≡ reference over NaN, int and partial columns"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (f, tr) -> Fmt.str "%a over %d states" Formula.pp f (Trace.length tr))
+       QCheck.Gen.(pair gen_numeric_formula gen_numeric_trace))
+    (fun (phi, tr) ->
+      let fast = Rtmon.Incremental.run_trace_status phi tr in
+      let expected = reference_status phi tr in
+      let dt = Trace.dt tr in
+      fast = expected
+      && Rtmon.Incremental.fails ~dt fast
+         = Rtmon.Violation.of_series ~dt
+             (Array.map (fun s -> s <> Rtmon.Incremental.Fail) expected)
+      && Rtmon.Incremental.inhibitions ~dt fast
+         = Rtmon.Violation.of_series ~dt
+             (Array.map (fun s -> s <> Rtmon.Incremental.Inhibited) expected))
+
 (** Monitors never mutate their input: stepping the same monitor twice with
     the same state yields the same result. *)
 let prop_purity =
@@ -177,6 +268,7 @@ let () =
       ( "incremental",
         [
           QCheck_alcotest.to_alcotest prop_incremental_equals_reference;
+          QCheck_alcotest.to_alcotest prop_fast_path_equals_reference;
           QCheck_alcotest.to_alcotest prop_purity;
           Alcotest.test_case "rejects future operators" `Quick test_rejects_future;
           Alcotest.test_case "invariant stripping" `Quick test_invariant_stripping;
