@@ -79,7 +79,8 @@ let drive ~target_of () =
         let accel = if eb then 4. *. drive_accel else drive_accel in
         let dv = accel *. dt in
         let v' =
-          if Float.abs (want -. v) <= dv then want else v +. Float.copy_sign dv (want -. v)
+          if Float.abs (want -. v) <= dv then want
+          else v +. Float.copy_sign dv (want -. v)
         in
         F.set_float fr speed v';
         F.set_float fr position (pos +. (v' *. dt)))

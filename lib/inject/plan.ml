@@ -22,7 +22,9 @@ let is_empty p = p.faults = []
 let interposer ~dt plan b =
   let rts =
     Array.of_list
-      (List.mapi (fun i f -> Fault.runtime ~seed:(Prng.derive plan.seed i) f b) plan.faults)
+      (List.mapi
+         (fun i f -> Fault.runtime ~seed:(Prng.derive plan.seed i) f b)
+         plan.faults)
   in
   fun fr ->
     for k = 0 to Array.length rts - 1 do

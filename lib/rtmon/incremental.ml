@@ -596,4 +596,5 @@ let fails ~dt status =
 
 (** Inhibition intervals of a status series (maximal [Inhibited] runs). *)
 let inhibitions ~dt status =
-  Violation.of_runs ~dt (Array.length status) (fun i -> Array.unsafe_get status i = Inhibited)
+  Violation.of_runs ~dt (Array.length status) (fun i ->
+      Array.unsafe_get status i = Inhibited)

@@ -3,9 +3,17 @@
     A formula is compiled once into a flat instruction array; the monitor's
     dynamic state is a plain [int array] of memory slots (booleans as 0/1,
     counters for the bounded-duration operators). Because the dynamic state
-    is a small comparable vector, the same monitor drives both online
-    monitoring during simulation and the finite product construction of the
-    model checker ({!Mc.Checker}).
+    is a small comparable vector, the same monitor drives both monitoring
+    over a recorded trace and the finite product construction of the model
+    checker ({!Mc.Checker}).
+
+    Over a trace, atoms compile against its typed columns. The shapes of
+    Table 5.3 — a float or int column, possibly under [Abs], compared with
+    a constant or another column; a symbol column tested against a
+    symbol; a boolean variable — read their cells in place and box
+    nothing per state. Other shapes keep a general reader; a column that
+    cannot prove the reader equivalent falls back to the per-state
+    reference path.
 
     Equivalence with the reference semantics {!Tl.Eval.eval} is established
     by the property tests in [test/test_rtmon.ml]. *)

@@ -98,19 +98,16 @@ module Bind = struct
   let dt b = b.bdt
 end
 
-let slot_name b s = b.names.(s)
-let symbol_name b id = b.sym_names.(id)
-
 (* ------------------------------------------------------------------ *)
 (* Frames                                                               *)
 
-let buffer n = { tags = Bytes.make n t_absent; f = Float.Array.make n 0.; i = Array.make n 0 }
+let buffer n =
+  { tags = Bytes.make n t_absent; f = Float.Array.make n 0.; i = Array.make n 0 }
 
 let create b =
   let n = b.nslots in
   { layout = b; prev = buffer n; next = buffer n; tick = 0 }
 
-let binder_of fr = fr.layout
 let tick fr = fr.tick
 let dt fr = fr.layout.bdt
 let now fr = float_of_int fr.tick *. fr.layout.bdt
@@ -270,6 +267,7 @@ module Cell = struct
   let set_float c x =
     c.tag <- t_float;
     Float.Array.unsafe_set c.f 0 x
+
   let int c = c.i
 
   let blit ~src ~dst =
@@ -316,7 +314,8 @@ let record r fr =
   if mapped < b.nsyms then
     r.smap <-
       Array.init b.nsyms (fun id ->
-          if id < mapped then r.smap.(id) else Trace.Builder.symbol r.rb b.sym_names.(id));
+          if id < mapped then r.smap.(id)
+          else Trace.Builder.symbol r.rb b.sym_names.(id));
   let p = fr.prev in
   Trace.Builder.add_slots r.rb r.cols ~tags:p.tags ~floats:p.f ~ints:p.i ~symbols:r.smap
 

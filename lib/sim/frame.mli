@@ -62,23 +62,17 @@ module Bind : sig
   (** The world's state period, for steps to capture at bind time. *)
 end
 
-val slot_name : binder -> _ slot -> string
-val symbol_name : binder -> symbol -> string
-
 (** {1 Frames} *)
 
 val create : binder -> t
 (** A frame over every slot resolved so far, both buffers all absent, at
     tick 0. Resolve every slot first. *)
 
-val binder_of : t -> binder
-
 val tick : t -> int
 (** The index of the state being computed. Its time is
     [float_of_int (tick fr) *. dt], computed exactly so by {!now}. *)
 
 val now : t -> float
-val dt : t -> float
 
 val begin_tick : t -> int -> unit
 (** [begin_tick fr i] starts computing state [i]: [next] becomes a copy

@@ -208,7 +208,9 @@ module Builder = struct
      read back, so reconstructing padding cells as typed zeros is sound. *)
   let promote b n = function
     | GE -> Array.make b.cap vfalse
-    | GF a -> Array.init b.cap (fun i -> if i < n then Value.Float (Float.Array.get a i) else vfalse)
+    | GF a ->
+        Array.init b.cap (fun i ->
+            if i < n then Value.Float (Float.Array.get a i) else vfalse)
     | GI a -> Array.init b.cap (fun i -> if i < n then Value.Int a.(i) else vfalse)
     | GB s ->
         Array.init b.cap (fun i ->
@@ -319,7 +321,8 @@ module Builder = struct
 
   let[@inline] sym b c id =
     match c.store with
-    | GS g when b.rows < Bytes.length g.ids && id < Array.length g.local && g.local.(id) > 0 ->
+    | GS g
+      when b.rows < Bytes.length g.ids && id < Array.length g.local && g.local.(id) > 0 ->
         Bytes.unsafe_set g.ids b.rows (Char.unsafe_chr (g.local.(id) - 1));
         Bytes.unsafe_set c.pres b.rows '\001'
     | _ -> write b c (sym_value b id)

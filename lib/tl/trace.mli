@@ -64,7 +64,10 @@ type col =
       (** [Value.Sym] cells interned: [values] is the symbol table in
           first-occurrence order (at most 256 entries), [ids] one table
           index per state *)
-  | VCol of Value.t array  (** mixed-type signal, stored exactly *)
+  | VCol of Value.t array
+      (** mixed-type signal, stored exactly; cells are rebuilt canonically
+          (a fresh block per cell, the two shared booleans, one string per
+          symbol), so how a value was shared never shows in the bytes *)
 
 val column : t -> string -> (col * Bytes.t option) option
 (** [column tr v] — the packed column of variable [v] and its presence
@@ -80,10 +83,10 @@ val approx_bytes : t -> int
 
     The allocation-friendly way to record a simulation: append rows as
     they are computed — cells go straight into typed columns, so the run
-    never retains one map per tick. Rows are written either whole, from a
-    [State.t] ({!Builder.add}), or cell by cell through column handles
-    resolved once ({!Builder.column}), ending each row with
-    {!Builder.end_row}. Both paths build the same canonical columns. *)
+    never retains one map per tick. Rows come either from a [State.t]
+    ({!Builder.add}, one name lookup per cell) or from a slot-indexed
+    typed buffer through column handles resolved once
+    ({!Builder.add_slots}). Both paths build the same canonical columns. *)
 
 module Builder : sig
   type b
@@ -108,23 +111,6 @@ module Builder : sig
   (** The builder's id of a symbol, interned on first sight; the trace
       keeps one string per symbol. *)
 
-  (** Writes of one cell of the row being built. A cell not written in a
-      row is absent there. The typed writes store in place when the
-      column already holds that kind, and open, intern or promote the
-      column (to {!VCol}) otherwise. *)
-
-  val float : b -> column -> float -> unit
-  val int : b -> column -> int -> unit
-  val bool : b -> column -> bool -> unit
-
-  val sym : b -> column -> int -> unit
-  (** A symbol, by its {!symbol} id. *)
-
-  val value : b -> column -> Value.t -> unit
-
-  val end_row : b -> unit
-  (** Close the row being built; the next writes go to a new row. *)
-
   val add_slots :
     b ->
     column array ->
@@ -133,8 +119,8 @@ module Builder : sig
     ints:int array ->
     symbols:int array ->
     unit
-  (** Append one row from a slot-indexed typed buffer, slot [s] going to
-      column [s]: by [tags.[s]], absent (['\000']), the float
+  (** Append one row from a slot-indexed typed buffer (the simulation
+      kernel's), slot [s] going to column [s]: by [tags.[s]], absent (['\000']), the float
       [floats.(s)] (['\001']), the int [ints.(s)] (['\002']), the bool
       [ints.(s) <> 0] (['\003']) or the symbol [symbols.(ints.(s))]
       (['\004']). Allocation-free when every column already holds its

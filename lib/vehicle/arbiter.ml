@@ -105,7 +105,8 @@ type feature_slots = {
   steer_req_s : float F.slot array;
 }
 
-let[@inline] requesting fs fr f = F.bool fr fs.active_s.(f) && F.bool fr fs.req_accel_s.(f)
+let[@inline] requesting fs fr f =
+  F.bool fr fs.active_s.(f) && F.bool fr fs.req_accel_s.(f)
 let[@inline] steering fs fr f = F.bool fr fs.active_s.(f) && F.bool fr fs.req_steer_s.(f)
 
 let add st k d = Float.Array.set st.times k (Float.Array.get st.times k +. d)
@@ -175,7 +176,8 @@ let component ?(timing = default_timing) (defects : Defects.t) =
          else
            let f = st.cur in
            if requesting fs fr f then begin
-             if pedals && not (hard_stop_request ~v (float fr fs.accel_req_s.(f))) then begin
+             if pedals && not (hard_stop_request ~v (float fr fs.accel_req_s.(f)))
+             then begin
                add st override_t dt;
                if Float.Array.get st.times override_t >= override_debounce then begin
                  st.cur <- driver;
@@ -206,7 +208,8 @@ let component ?(timing = default_timing) (defects : Defects.t) =
            && (defects.Defects.arbiter_selects_under_pedals || (not pedals)
               || hard_stop_request ~v (float fr fs.accel_req_s.(top)))
          then begin
-           if top = lca then st.cur <- top (* defect-adjacent: LCA bypasses the debounce *)
+           (* defect-adjacent: LCA bypasses the debounce *)
+           if top = lca then st.cur <- top
            else begin
              let threshold =
                if st.was_overridden.(top) then reselect_debounce else select_debounce
@@ -248,7 +251,9 @@ let component ?(timing = default_timing) (defects : Defects.t) =
             let dir = if F.sym fr gear_s = reverse then -1. else 1. in
             dir *. 2.5 *. throttle
         in
-        let cmd = if st.cur = driver then driver_demand else float fr fs.accel_req_s.(st.cur) in
+        let cmd =
+          if st.cur = driver then driver_demand else float fr fs.accel_req_s.(st.cur)
+        in
         (* --- steering arbitration (every feature's flags are read) --- *)
         let order =
           if defects.Defects.arbiter_steering_priority_reversed then priority_reversed

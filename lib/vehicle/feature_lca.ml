@@ -55,7 +55,9 @@ let component (_defects : Defects.t) =
         if not (enabled && acc_on) then active_state := false;
         let elapsed = now -. Float.Array.get active_since 0 in
         let maneuvering =
-          !active_state && elapsed >= maneuver_delay && elapsed < maneuver_delay +. maneuver_time
+          !active_state
+          && elapsed >= maneuver_delay
+          && elapsed < maneuver_delay +. maneuver_time
         in
         let steer =
           if maneuvering then

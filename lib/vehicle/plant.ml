@@ -74,8 +74,8 @@ let host ?(dynamics = default_dynamics) (defects : Defects.t) =
       and active_acc = F.Bind.bool b (active "ACC")
       and gear = F.Bind.sym b gear
       and source = F.Bind.sym b accel_source
-      and lead = F.Bind.float b lead_pos
-      and rear = F.Bind.float b rear_pos in
+      and lead_s = F.Bind.float b lead_pos
+      and rear_s = F.Bind.float b rear_pos in
       let reverse = F.Bind.symbol b "R" and driver = F.Bind.symbol b "Driver" in
       (* [| jerk state (da/dt); creep time left |] *)
       let st = Float.Array.make 2 0. in
@@ -102,7 +102,9 @@ let host ?(dynamics = default_dynamics) (defects : Defects.t) =
         let u = u +. creep in
         (* Second-order response; the jerk state is da/dt. *)
         let s = Float.Array.get st 0 in
-        let s' = s +. ((omega_n *. omega_n *. (u -. a)) -. (2. *. zeta *. omega_n *. s)) *. dt in
+        let s' =
+          s +. (((omega_n *. omega_n *. (u -. a)) -. (2. *. zeta *. omega_n *. s)) *. dt)
+        in
         Float.Array.set st 0 s';
         let a' = a +. (s' *. dt) in
         (* Standing still with no drive torque (or with the brake applied
@@ -128,8 +130,8 @@ let host ?(dynamics = default_dynamics) (defects : Defects.t) =
         in
         let v' = if held then 0. else v' in
         let p' = p +. (v' *. dt) in
-        let lead = float fr lead in
-        let rear = float fr rear in
+        let lead = float fr lead_s in
+        let rear = float fr rear_s in
         let hit = p' >= lead || p' <= rear in
         set_float fr pos p';
         set_float fr speed v';
