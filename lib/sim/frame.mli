@@ -28,7 +28,8 @@ type binder
     assembled. *)
 
 type t
-(** A frame: the two tick buffers of one run, plus its clock. *)
+(** A frame: the two tick buffers of one run, and the index of the state
+    being computed. *)
 
 type 'a slot = private int
 (** A resolved signal: its slot index. *)
@@ -151,7 +152,7 @@ module Cell : sig
   (** The payload of an [Int], [Bool] (0/1) or [Sym] (id) cell. *)
 
   val set_float : t -> float -> unit
-  (** Make the cell the float [x]. *)
+  (** [set_float c x] makes [c] the float [x]. *)
 
   val blit : src:t -> dst:t -> unit
 end
